@@ -56,6 +56,13 @@ func (d *DedupCache) Seen(id r2p2.RequestID) bool {
 	return ok
 }
 
+// has is Seen without counting a hit (the apply pipeline classifies an
+// entry before it completes, and counts the hit when it does).
+func (d *DedupCache) has(id r2p2.RequestID) bool {
+	_, ok := d.m[id]
+	return ok
+}
+
 // Lookup returns the cached reply for id. ok reports a cache hit;
 // hasReply reports whether the reply bytes survived (false when the
 // entry came in via snapshot restore).

@@ -72,12 +72,30 @@ type Transport interface {
 	SendFeedback(dgs []*wire.Buf)
 }
 
+// AppOp is one state-machine operation of an apply batch.
+type AppOp struct {
+	Payload  []byte
+	ReadOnly bool
+	// Committed is the telemetry-clock time the op's log entry became
+	// committed, valid when Stamped (leased reads and entries committed
+	// before telemetry saw them carry no stamp). Runners record
+	// obs.QApplyQueue as the op's execution start minus Committed.
+	Committed time.Duration
+	Stamped   bool
+}
+
 // AppRunner executes state-machine operations on the application thread.
-// Run must eventually invoke done exactly once with the reply payload;
-// done must run in the engine's execution context (the runtimes guarantee
-// this). Calls are submitted one at a time per engine.
+// Run executes ops in order and reports their replies through done: each
+// call carries the replies of the next len(replies) ops, so every op is
+// reported exactly once, in order, whether the runner delivers a whole
+// batch at once (the UDP transport) or one op at a time (the simulator).
+// done must run in the engine's execution context (the runtimes
+// guarantee this) and does not retain replies. The engine submits one
+// batch at a time and leaves ops untouched until its last reply arrives.
+// Runners record the obs.QApplyQueue and obs.QService telemetry stages
+// per op.
 type AppRunner interface {
-	Run(payload []byte, readOnly bool, done func(reply []byte))
+	Run(ops []AppOp, done func(replies [][]byte))
 }
 
 // Config parameterizes an Engine.
@@ -261,12 +279,20 @@ type Engine struct {
 	lastBcastCommit uint64
 	lastBcastLast   uint64
 
-	// Apply pipeline.
-	applyBusy bool
-	// Commit→execution-start timestamps (telemetry only): entries are
-	// stamped when the engine learns they committed and popped when
-	// their execution starts, measuring the QApplyQueue stage. FIFO in
-	// log order; commitHead keeps pops O(1) without reslicing.
+	// Apply pipeline: at most one batch is on the app thread at a time
+	// (applyBusy). applyItems lists the batch in completion order,
+	// appOps the operations of its executing items as handed to the
+	// runner, and applyPos the next item to complete.
+	applyBusy   bool
+	applyItems  []applyItem
+	appOps      []AppOp
+	applyPos    int
+	applyDoneFn func([][]byte) // e.applyDone, bound once
+	// Commit timestamps (telemetry only): entries are stamped when the
+	// engine learns they committed and popped into their AppOp when a
+	// batch is built, so the runner can record the QApplyQueue stage
+	// (commit → execution start). FIFO in log order; commitHead keeps
+	// pops O(1) without reslicing.
 	commitSeen   uint64
 	commitStamps []commitStamp
 	commitHead   int
@@ -361,6 +387,7 @@ func NewEngine(cfg Config, transport Transport, runner AppRunner) *Engine {
 		heardTerm: make(map[raft.NodeID]uint64),
 		inLog:     make(map[r2p2.RequestID]bool),
 	}
+	e.applyDoneFn = e.applyDone
 	if cfg.DedupWindow > 0 {
 		e.dedup = NewDedupCache(cfg.DedupWindow)
 	}
@@ -462,7 +489,7 @@ func (e *Engine) Tick() {
 	e.ticks++
 	e.now += e.cfg.TickInterval
 	// The tick is the single-threaded cadence driver for telemetry epoch
-	// rotation in both runtimes (DES loop / engine mutex).
+	// rotation in both runtimes (DES loop / owning core's loop).
 	e.tel.MaybeRotate()
 	e.node.Tick()
 	if e.IsLeader() {
@@ -1118,105 +1145,200 @@ func (e *Engine) becomeLeader() {
 
 // --- applying ------------------------------------------------------------
 
+// applyKind classifies one item of an apply batch.
+type applyKind uint8
+
+const (
+	// applySkip: a noop, or another replier's read-only entry (§3.5) —
+	// nothing executes here, the entry is only marked applied.
+	applySkip applyKind = iota
+	// applyDup: a duplicate of an already-executed write, skipped on
+	// every replica; its replier answers from the dedup cache.
+	applyDup
+	// applyExec: a log entry executed on the app thread.
+	applyExec
+	// applyRead: a leased read executed on the app thread (no log entry).
+	applyRead
+)
+
+// applyItem is one entry (or leased read) of an apply batch. The entry
+// is a copy: the log slot may be truncated while the batch runs.
+type applyItem struct {
+	ent     raft.Entry
+	kind    applyKind
+	started bool // the pipeline reached it: its execution is under way
+}
+
 // maybeApply pushes the apply pipeline: strictly in-order execution of
 // committed entries, eagerly on commit (paper §6.2), skipping read-only
 // entries on non-replier nodes (§3.5) and stalling on bodies still being
-// recovered.
+// recovered. Every committed entry up to the first missing body forms
+// one batch, and its executable entries go to the app thread as one job;
+// the batch then completes in log order as their replies come back.
 func (e *Engine) maybeApply() {
 	log := e.node.Log()
 	if e.tel.Active() {
 		e.stampCommits(log)
 	}
-	for !e.applyBusy {
-		next := log.Applied() + 1
-		if next > log.Commit() {
-			return
-		}
+	if e.applyBusy {
+		return
+	}
+	e.resetBatch()
+	var stallIdx uint64
+	var stallID r2p2.RequestID
+	for next := log.Applied() + 1; next <= log.Commit(); next++ {
 		le := log.Entry(next)
 		if le == nil {
-			return // behind a snapshot restore; nothing to run
+			break // behind a snapshot restore; nothing to run
 		}
-		if e.dedup != nil && le.Kind == raft.KindReadWrite {
-			if reply, _, hasReply, ok := e.dedup.Lookup(le.ID); ok {
-				// Duplicate of an already-executed write: a client
-				// retransmission that a (new) leader ordered again.
-				// Exactly-once means every replica skips execution here
-				// — identically, since the caches march in lockstep —
-				// and the entry's replier answers from the cache. This
-				// check precedes the body stall: a dup needs no body.
-				e.counters.Get("apply_dup_skip").Inc()
-				delete(e.missing, next)
-				delete(e.inLog, le.ID)
-				e.unordered.Drop(le.ID)
-				if hasReply && le.Replier == e.cfg.ID {
-					e.counters.Get("tx_dup_reply").Inc()
-					e.reply(le.ID, reply)
-				}
-				e.markApplied(next)
-				continue
-			}
-		}
-		if le.Kind != raft.KindNoop && le.Data == nil {
-			e.missing[next] = le.ID
-			e.sendRecovery(false)
-			return // stall until the body is recovered
-		}
-		if le.Kind != raft.KindNoop {
+		it := applyItem{ent: *le}
+		switch {
+		case e.dedup != nil && le.Kind == raft.KindReadWrite && e.dedup.has(le.ID):
+			// Duplicate of an already-executed write: a client
+			// retransmission that a (new) leader ordered again.
+			// Exactly-once means every replica skips execution here —
+			// identically, since the caches march in lockstep — and
+			// the entry's replier answers from the cache. This check
+			// precedes the body stall: a dup needs no body.
+			it.kind = applyDup
+		case le.Kind != raft.KindNoop && le.Data == nil:
+			// Stall until the body is recovered. The entries before it
+			// complete first; the recovery request goes out when the
+			// pipeline reaches this entry.
+			stallIdx, stallID = next, le.ID
+		case le.Kind == raft.KindReadWrite ||
+			(le.Kind == raft.KindReadOnly && le.Replier == e.cfg.ID):
+			it.kind = applyExec
 			e.unordered.Drop(le.ID)
-		}
-		execute := le.Kind == raft.KindReadWrite ||
-			(le.Kind == raft.KindReadOnly && le.Replier == e.cfg.ID)
-		if !execute {
-			e.markApplied(next)
-			continue
-		}
-		if e.dedup != nil && le.Kind == raft.KindReadWrite {
-			// Register the ID before execution starts so a retransmit
-			// arriving mid-execution is suppressed, not re-proposed; the
-			// reply bytes are filled in by the done callback below.
-			e.dedup.Record(le.ID, nil, le.Replier)
-			delete(e.inLog, le.ID)
-		}
-		e.applyBusy = true
-		if e.tel.Active() {
-			if wait, ok := e.applyWait(next); ok {
-				e.tel.Record(obs.QApplyQueue, wait)
+			if e.dedup != nil && le.Kind == raft.KindReadWrite {
+				// Register the ID before execution starts so a
+				// retransmit arriving mid-batch is suppressed, not
+				// re-proposed; the reply bytes are filled in when the
+				// entry completes.
+				e.dedup.Record(le.ID, nil, le.Replier)
+				delete(e.inLog, le.ID)
+			}
+			op := AppOp{Payload: le.Data, ReadOnly: le.Kind == raft.KindReadOnly}
+			if e.tel.Active() {
+				op.Committed, op.Stamped = e.popCommitStamp(next)
+			}
+			e.appOps = append(e.appOps, op)
+		default:
+			if le.Kind != raft.KindNoop {
+				e.unordered.Drop(le.ID)
 			}
 		}
-		entry := *le // capture: the log slot may be truncated meanwhile
-		// Only the replier's execution is part of the traced request
-		// path (read-write entries execute on every node).
-		traced := e.obs.Active() && entry.Replier == e.cfg.ID
-		if traced {
-			e.obs.Stage(entry.ID, obs.StageApplyStart)
+		if stallIdx != 0 {
+			break
 		}
-		e.runner.Run(entry.Data, entry.Kind == raft.KindReadOnly, func(reply []byte) {
-			e.applyBusy = false
-			if traced {
-				e.obs.Stage(entry.ID, obs.StageApplyDone)
-			}
-			// A snapshot restore may have advanced applied past this
-			// entry while it executed; its result is still valid
-			// (computed on consistent pre-restore state) but the
-			// applied index must not regress.
-			if entry.Index > log.Applied() {
-				e.markApplied(entry.Index)
-			}
-			if e.dedup != nil && entry.Kind == raft.KindReadWrite {
-				r := reply
-				if r == nil {
-					r = []byte{} // nil means "reply unknown" in the cache
-				}
-				e.dedup.Record(entry.ID, r, entry.Replier)
-			}
-			if entry.Replier == e.cfg.ID {
-				e.reply(entry.ID, reply)
-			}
-			e.maybeApply()
-			e.serveReads()
-			e.flush()
-		})
+		e.applyItems = append(e.applyItems, it)
 	}
+	e.applyBusy = len(e.appOps) > 0
+	e.completeItems(nil) // entries ahead of the first execution
+	if e.applyBusy {
+		e.runner.Run(e.appOps, e.applyDoneFn)
+		return
+	}
+	if stallIdx != 0 {
+		e.missing[stallIdx] = stallID
+		e.sendRecovery(false)
+	}
+}
+
+// resetBatch empties the apply batch scratch for a new batch.
+func (e *Engine) resetBatch() {
+	e.applyItems = e.applyItems[:0]
+	e.appOps = e.appOps[:0]
+	e.applyPos = 0
+}
+
+// applyDone is the runner's completion callback for the batch in
+// flight: it completes the items the replies cover, then runs the
+// post-apply sequence (a deferred snapshot restore, the next batch,
+// reads, egress) once per delivery.
+func (e *Engine) applyDone(replies [][]byte) {
+	e.completeItems(replies)
+	e.maybeSnapshot()
+	e.maybeApply()
+	e.serveReads()
+	e.flush()
+}
+
+// completeItems completes batch items in order, consuming one reply per
+// executed item, and stops at the first executed item whose reply has
+// not arrived yet. The batch ends (applyBusy clears) once every item
+// completed.
+func (e *Engine) completeItems(replies [][]byte) {
+	for e.applyPos < len(e.applyItems) {
+		it := &e.applyItems[e.applyPos]
+		if it.kind >= applyExec {
+			if !it.started {
+				it.started = true
+				// Only the replier's execution is part of the traced
+				// request path (read-write entries execute everywhere).
+				if it.kind == applyExec && e.obs.Active() && it.ent.Replier == e.cfg.ID {
+					e.obs.Stage(it.ent.ID, obs.StageApplyStart)
+				}
+			}
+			if len(replies) == 0 {
+				return
+			}
+			e.completeOp(it, replies[0])
+			replies = replies[1:]
+		} else {
+			e.completeSkip(it)
+		}
+		e.applyPos++
+	}
+	e.applyBusy = false
+}
+
+// completeOp finishes one executed item with its reply.
+func (e *Engine) completeOp(it *applyItem, reply []byte) {
+	if it.kind == applyRead {
+		e.replyRead(it.ent.ID, reply)
+		return
+	}
+	entry := &it.ent
+	if e.obs.Active() && entry.Replier == e.cfg.ID {
+		e.obs.Stage(entry.ID, obs.StageApplyDone)
+	}
+	// A snapshot restore may have advanced applied past this entry
+	// while the batch executed; its result is still valid (computed on
+	// consistent pre-restore state, the restore waits for the batch)
+	// but the applied index must not regress.
+	if entry.Index > e.node.Log().Applied() {
+		e.markApplied(entry.Index)
+	}
+	if e.dedup != nil && entry.Kind == raft.KindReadWrite {
+		r := reply
+		if r == nil {
+			r = []byte{} // nil means "reply unknown" in the cache
+		}
+		e.dedup.Record(entry.ID, r, entry.Replier)
+	}
+	if entry.Replier == e.cfg.ID {
+		e.reply(entry.ID, reply)
+	}
+}
+
+// completeSkip finishes one item that executes nothing here.
+func (e *Engine) completeSkip(it *applyItem) {
+	le := &it.ent
+	if le.Index <= e.node.Log().Applied() {
+		return // a snapshot restore landed mid-batch and covers it
+	}
+	if it.kind == applyDup {
+		e.counters.Get("apply_dup_skip").Inc()
+		delete(e.missing, le.Index)
+		delete(e.inLog, le.ID)
+		e.unordered.Drop(le.ID)
+		if reply, _, hasReply, ok := e.dedup.Lookup(le.ID); ok && hasReply && le.Replier == e.cfg.ID {
+			e.counters.Get("tx_dup_reply").Inc()
+			e.reply(le.ID, reply)
+		}
+	}
+	e.markApplied(le.Index)
 }
 
 // commitStamp records when one log entry became committed (and thus
@@ -1247,10 +1369,10 @@ func (e *Engine) stampCommits(log *raft.Log) {
 	e.commitSeen = c
 }
 
-// applyWait pops the commit stamp for idx, discarding stamps of entries
-// that were skipped (noops, dups, non-replier read-onlys, snapshot
-// restores), and returns how long idx waited for its execution slot.
-func (e *Engine) applyWait(idx uint64) (time.Duration, bool) {
+// popCommitStamp pops the commit stamp for idx, discarding stamps of
+// entries that were skipped (noops, dups, non-replier read-onlys,
+// snapshot restores), and returns when idx committed.
+func (e *Engine) popCommitStamp(idx uint64) (time.Duration, bool) {
 	for e.commitHead < len(e.commitStamps) && e.commitStamps[e.commitHead].idx < idx {
 		e.commitHead++
 	}
@@ -1263,7 +1385,7 @@ func (e *Engine) applyWait(idx uint64) (time.Duration, bool) {
 		e.commitStamps = e.commitStamps[:0]
 		e.commitHead = 0
 	}
-	return e.tel.Now() - at, true
+	return at, true
 }
 
 func (e *Engine) markApplied(idx uint64) {
@@ -1333,9 +1455,12 @@ func (e *Engine) noteCommits() {
 }
 
 // maybeSnapshot restores application state after an InstallSnapshot
-// replaced the log (receiver side of compaction catch-up).
+// replaced the log (receiver side of compaction catch-up). The restore
+// waits for the app thread to go idle: an apply batch in flight when
+// the snapshot lands finishes first (its entries are all inside the
+// snapshot, which then replaces their effects).
 func (e *Engine) maybeSnapshot() {
-	if e.cfg.Snapshotter == nil {
+	if e.cfg.Snapshotter == nil || e.applyBusy {
 		return
 	}
 	log := e.node.Log()

@@ -150,9 +150,12 @@ func (b *busAggTransport) SendToNode(id raft.NodeID, dgs []*wire.Buf) {
 // engine's reentrant apply loop).
 type syncRunner struct{}
 
-func (syncRunner) Run(payload []byte, readOnly bool, done func([]byte)) {
-	reply := append([]byte("echo:"), payload...)
-	done(reply)
+func (syncRunner) Run(ops []AppOp, done func([][]byte)) {
+	replies := make([][]byte, len(ops))
+	for i, op := range ops {
+		replies[i] = append([]byte("echo:"), op.Payload...)
+	}
+	done(replies)
 }
 
 func newWorld(t failer, mode Mode, n int) *world {

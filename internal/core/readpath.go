@@ -209,16 +209,17 @@ func (e *Engine) handleReadIndexResp(r *ReadIndexResp) {
 	e.serveReads()
 }
 
-// serveReads executes every ratified read whose index the applied index
-// has passed. FIFO: read indices and ratification are monotone in
-// arrival order, so head-of-line checks suffice; a blocked head is
-// bounded by the ReadNackAfter SLO timeout.
+// serveReads hands every ratified read whose index the applied index
+// has passed to the app thread as one batch. FIFO: read indices and
+// ratification are monotone in arrival order, so head-of-line checks
+// suffice; a blocked head is bounded by the ReadNackAfter SLO timeout.
 func (e *Engine) serveReads() {
-	if !e.cfg.ReadLease {
+	if !e.cfg.ReadLease || e.applyBusy {
 		return
 	}
 	log := e.node.Log()
-	for !e.applyBusy && e.pendingHead < len(e.pendingReads) {
+	e.resetBatch()
+	for e.pendingHead < len(e.pendingReads) {
 		pr := e.pendingReads[e.pendingHead]
 		if pr.confirm > 0 {
 			if !e.IsLeader() {
@@ -229,11 +230,11 @@ func (e *Engine) serveReads() {
 				continue
 			}
 			if e.node.AckWatermark() < pr.confirm {
-				return
+				break
 			}
 		}
 		if log.Applied() < pr.idx {
-			return
+			break
 		}
 		e.popRead()
 		if log.Applied() < pr.idx {
@@ -249,16 +250,14 @@ func (e *Engine) serveReads() {
 		if e.tel.Active() {
 			e.tel.Record(obs.QReadIndex, e.now-pr.enqNow)
 		}
-		e.applyBusy = true
-		id := pr.id
-		e.runner.Run(pr.payload, true, func(reply []byte) {
-			e.applyBusy = false
-			e.replyRead(id, reply)
-			e.maybeApply()
-			e.serveReads()
-			e.flush()
-		})
+		e.applyItems = append(e.applyItems, applyItem{ent: raft.Entry{ID: pr.id}, kind: applyRead})
+		e.appOps = append(e.appOps, AppOp{Payload: pr.payload, ReadOnly: true})
 	}
+	if len(e.appOps) == 0 {
+		return
+	}
+	e.applyBusy = true
+	e.runner.Run(e.appOps, e.applyDoneFn)
 }
 
 func (e *Engine) popRead() {

@@ -93,7 +93,8 @@ func (e *UnreplicatedEngine) pump() {
 	e.queue = e.queue[1:]
 	e.busy = true
 	e.obs.Stage(m.ID, obs.StageApplyStart)
-	e.runner.Run(m.Payload, m.IsReadOnly(), func(reply []byte) {
+	e.runner.Run([]AppOp{{Payload: m.Payload, ReadOnly: m.IsReadOnly()}}, func(replies [][]byte) {
+		reply := replies[0]
 		e.busy = false
 		e.obs.Stage(m.ID, obs.StageApplyDone)
 		if !m.IsReadOnly() {

@@ -108,7 +108,8 @@ type tracedReq struct {
 // disabled state; every method tolerates it.
 //
 // Obs is not safe for concurrent use; both runtimes drive it from a
-// single execution context (the DES event loop / the engine lock).
+// single execution context (the DES event loop / the owning core's
+// loop).
 type Obs struct {
 	clock func() time.Duration
 

@@ -14,9 +14,10 @@ type QStage uint8
 
 const (
 	// QIngress is the wait between a recvmmsg batch arriving from the
-	// kernel and the engine lock being acquired to process it.
+	// kernel and the owning core's loop ingesting it into the engine
+	// (for datagrams read on another core, their mailbox sojourn).
 	QIngress QStage = iota
-	// QEngine is the per-message dispatch time inside the engine lock.
+	// QEngine is the per-message dispatch time on the owning core's loop.
 	QEngine
 	// QRaftStep is the raft state-machine step/propose time.
 	QRaftStep
@@ -73,7 +74,8 @@ const (
 //
 // Recording is safe from any goroutine. Rotation (MaybeRotate) must be
 // driven from a single goroutine — both runtimes use the engine tick,
-// which already runs under the engine lock.
+// which runs in the engine's single execution context (the DES event
+// loop, or the owning core's loop).
 type Telemetry struct {
 	clock func() time.Duration
 	hists [NumQStages]*stats.WindowedHist
@@ -139,7 +141,7 @@ func (t *Telemetry) Record(s QStage, d time.Duration) {
 }
 
 // RecordN adds n identical observations — one recvmmsg batch whose
-// datagrams all waited the same time for the engine lock.
+// datagrams all waited the same time to enter the engine.
 func (t *Telemetry) RecordN(s QStage, d time.Duration, n int) {
 	if t == nil || s >= NumQStages || n <= 0 {
 		return

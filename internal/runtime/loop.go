@@ -177,18 +177,15 @@ func (l *Loop) Submit(fn func()) bool {
 // overwritten and its work would wait out the full deadline.
 func (l *Loop) ShouldPark() bool { return l.pending.Load() == 0 }
 
-// NextWake returns how long the owner may block before its next tick
-// is due (minimum 1µs so an overdue tick still yields a positive
-// deadline), or 0 when the loop has no timer.
-func (l *Loop) NextWake() time.Duration {
+// NextTick returns the loop-clock time at which the next tick is due,
+// or 0 when the loop has no timer. It changes only when a tick runs, so
+// an owner parking in a deadline-bounded read re-arms its deadline only
+// when this value moves (or after a kick or timeout consumed it).
+func (l *Loop) NextTick() time.Duration {
 	if l.tickEvery <= 0 || l.now == nil {
 		return 0
 	}
-	d := l.nextTck - l.now()
-	if d < time.Microsecond {
-		d = time.Microsecond
-	}
-	return d
+	return l.nextTck
 }
 
 // Advance is the owner's loop boundary, run after every ingress batch

@@ -142,30 +142,48 @@ func TestLoopSubmitRunsInOwnerContext(t *testing.T) {
 	}
 }
 
-func TestLoopTickCadenceAndNextWake(t *testing.T) {
+func TestLoopTickCadenceAndNextTick(t *testing.T) {
 	var now atomic.Int64
 	ticks := 0
 	l, _ := newOwnerLoop(&now, nil, 10*time.Millisecond, &ticks)
-	if d := l.NextWake(); d != 10*time.Millisecond {
-		t.Fatalf("NextWake = %v, want 10ms", d)
+	if due := l.NextTick(); due != 10*time.Millisecond {
+		t.Fatalf("NextTick = %v, want 10ms", due)
 	}
+	now.Store(int64(4 * time.Millisecond))
 	l.Advance() // not due yet
 	if ticks != 0 {
 		t.Fatalf("ticked %d times before the deadline", ticks)
+	}
+	// A pass that runs no tick leaves the due time alone: the owner's
+	// armed read deadline is still the right one.
+	if due := l.NextTick(); due != 10*time.Millisecond {
+		t.Fatalf("NextTick after a tickless pass = %v, want it unchanged at 10ms", due)
 	}
 	now.Store(int64(12 * time.Millisecond))
 	l.Advance()
 	if ticks != 1 {
 		t.Fatalf("ticked %d times after the deadline, want 1", ticks)
 	}
-	if d := l.NextWake(); d != 10*time.Millisecond {
-		t.Fatalf("NextWake after tick = %v, want a fresh 10ms", d)
+	if due := l.NextTick(); due != 22*time.Millisecond {
+		t.Fatalf("NextTick after tick = %v, want a fresh period from the tick (22ms)", due)
 	}
-	// An overdue tick still yields a positive (minimal) deadline so the
-	// owner's read arm never blocks forever.
+	// An overdue tick keeps its past due time: the owner's read fails at
+	// once and the next Advance runs the tick.
 	now.Store(int64(100 * time.Millisecond))
-	if d := l.NextWake(); d != time.Microsecond {
-		t.Fatalf("overdue NextWake = %v, want the 1µs floor", d)
+	if due := l.NextTick(); due != 22*time.Millisecond {
+		t.Fatalf("overdue NextTick = %v, want the past due time 22ms", due)
+	}
+	l.Advance()
+	if ticks != 2 || l.NextTick() != 110*time.Millisecond {
+		t.Fatalf("overdue tick: ticks=%d NextTick=%v, want 2 and 110ms", ticks, l.NextTick())
+	}
+}
+
+func TestLoopNextTickWithoutTimer(t *testing.T) {
+	var now atomic.Int64
+	l, _ := newOwnerLoop(&now, nil, 0, nil)
+	if due := l.NextTick(); due != 0 {
+		t.Fatalf("NextTick without a timer = %v, want 0 (no deadline)", due)
 	}
 }
 

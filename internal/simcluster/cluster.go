@@ -336,7 +336,7 @@ func (c *Cluster) buildEngine(n *Node) {
 		svc.Execute(payload, false)
 	}
 	n.Service = svc
-	runner := &simRunner{host: n.Host, svc: svc, cost: cost, tel: n.Tel}
+	runner := newSimRunner(n.Host, svc, cost, n.Tel)
 	if opts.Setup == SetupUnreplicated {
 		n.Unrep = core.NewUnreplicatedEngine(&nodeTransport{c: c, host: n.Host}, runner)
 		n.Unrep.SetObs(opts.Obs)
@@ -792,29 +792,66 @@ func (c *Cluster) onFlowPacket(pkt *simnet.Packet) {
 
 // --- app runner -------------------------------------------------------------
 
+// simRunner executes a batch on the node's simulated app thread one op
+// at a time, submitting each op when the previous one completes: every
+// op costs and completes at its own virtual time, queued behind any
+// app-thread work (fsync stalls) submitted while its predecessor ran.
 type simRunner struct {
 	host *simnet.Host
 	svc  app.Service
 	cost app.CostModel
 	tel  *obs.Telemetry
+
+	ops      []core.AppOp
+	done     func([][]byte)
+	next     int
+	t0       time.Duration // telemetry clock at the in-service op's submit
+	reply    [1][]byte
+	complete func() // r.completeOp, bound once
 }
 
-func (r *simRunner) Run(payload []byte, readOnly bool, done func([]byte)) {
+func newSimRunner(host *simnet.Host, svc app.Service, cost app.CostModel, tel *obs.Telemetry) *simRunner {
+	r := &simRunner{host: host, svc: svc, cost: cost, tel: tel}
+	r.complete = r.completeOp
+	return r
+}
+
+func (r *simRunner) Run(ops []core.AppOp, done func([][]byte)) {
+	r.ops, r.done, r.next = ops, done, 0
+	r.submit()
+}
+
+// submit puts ops[next] on the app thread.
+func (r *simRunner) submit() {
+	op := &r.ops[r.next]
 	var c time.Duration
 	if r.cost != nil {
-		c = r.cost.Cost(payload, readOnly)
+		c = r.cost.Cost(op.Payload, op.ReadOnly)
 	}
 	if r.tel.Active() {
-		// Sojourn on the simulated app thread: execution cost plus any
-		// contention with other submitted work (e.g. fsync stalls).
-		t0 := r.tel.Now()
-		r.host.App().Submit(c, func() {
-			r.tel.Record(obs.QService, r.tel.Now()-t0)
-			done(r.svc.Execute(payload, readOnly))
-		})
-		return
+		// QService is the sojourn on the simulated app thread: execution
+		// cost plus any contention with other submitted work (e.g. fsync
+		// stalls).
+		r.t0 = r.tel.Now()
+		if op.Stamped {
+			r.tel.Record(obs.QApplyQueue, r.t0-op.Committed)
+		}
 	}
-	r.host.App().Submit(c, func() {
-		done(r.svc.Execute(payload, readOnly))
-	})
+	r.host.App().Submit(c, r.complete)
+}
+
+// completeOp executes ops[next] at its completion time, submits the next
+// op, and reports the reply. The engine may start a new batch from
+// inside done, so nothing here touches the runner after it.
+func (r *simRunner) completeOp() {
+	op := &r.ops[r.next]
+	if r.tel.Active() {
+		r.tel.Record(obs.QService, r.tel.Now()-r.t0)
+	}
+	r.reply[0] = r.svc.Execute(op.Payload, op.ReadOnly)
+	done := r.done
+	if r.next++; r.next < len(r.ops) {
+		r.submit()
+	}
+	done(r.reply[:])
 }

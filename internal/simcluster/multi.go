@@ -251,7 +251,7 @@ func NewMulti(opts MultiOptions) *MultiCluster {
 				Obs:            opts.Obs,
 				Tel:            n.Tel,
 			}, &groupTransport{c: c, host: n.Host, group: uint8(g)},
-				&simRunner{host: n.Host, svc: svc, cost: cost, tel: n.Tel})
+				newSimRunner(n.Host, svc, cost, n.Tel))
 		}
 	}
 

@@ -63,7 +63,7 @@ func (h *AtomicHist) Record(v int64) { h.add(v, 1, false) }
 
 // RecordN adds n identical observations in one shot — the batch
 // hand-off case, where every datagram of a recvmmsg batch waited the
-// same time for the engine lock.
+// same time to enter the engine.
 func (h *AtomicHist) RecordN(v int64, n uint64) { h.add(v, n, false) }
 
 func (h *AtomicHist) add(v int64, n uint64, over bool) {

@@ -10,7 +10,7 @@ package transport
 //
 //	listenBatch  — bind N sockets to one address (N>1 needs reuseport)
 //	batchReader  — per-socket reader filling a slab of reused views
-//	sender       — per-destination vectored send
+//	sender       — vectored send to any mix of destinations
 //
 // eRPC's observation (PAPERS.md) is that most of the datacenter-RPC gap
 // closes with packet batching and syscall amortization, no kernel bypass

@@ -10,7 +10,6 @@ package transport
 
 import (
 	"net"
-	"syscall"
 
 	"hovercraft/internal/wire"
 )
@@ -70,15 +69,17 @@ func (r *batchReader) addr(i int) *net.UDPAddr { return &r.addrs[i] }
 
 // sender falls back to one WriteToUDP per datagram.
 type sender struct {
+	conn *net.UDPConn
+
 	syscalls  uint64
 	datagrams uint64
 }
 
-func newSender(batch int) *sender { return &sender{} }
+func newSender(conn *net.UDPConn, batch int) *sender { return &sender{conn: conn} }
 
-func (s *sender) sendTo(conn *net.UDPConn, rc syscall.RawConn, addr *net.UDPAddr, pkts [][]byte) {
-	for _, p := range pkts {
-		if _, err := conn.WriteToUDP(p, addr); err == nil {
+func (s *sender) send(addrs []*net.UDPAddr, pkts [][]byte) {
+	for i, p := range pkts {
+		if _, err := s.conn.WriteToUDP(p, addrs[i]); err == nil {
 			s.syscalls++
 			s.datagrams++
 		}

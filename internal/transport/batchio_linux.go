@@ -96,6 +96,13 @@ type batchReader struct {
 	iovs []syscall.Iovec
 	sas  []syscall.RawSockaddrInet4
 
+	// One recvmmsg's results, shared with the read callback bound once
+	// at construction (a fresh closure per read would escape to the
+	// heap on every wakeup).
+	got    int
+	errno  syscall.Errno
+	readFn func(fd uintptr) bool
+
 	syscalls  uint64
 	datagrams uint64
 }
@@ -129,6 +136,7 @@ func newBatchReader(conn *net.UDPConn, batch int) (*batchReader, error) {
 		r.hdrs[i].hdr.Iovlen = 1
 		r.addrs[i].IP = r.ipb[4*i : 4*i+4 : 4*i+4]
 	}
+	r.readFn = r.recv
 	return r, nil
 }
 
@@ -136,34 +144,13 @@ func newBatchReader(conn *net.UDPConn, batch int) (*batchReader, error) {
 // drains up to the batch size in one recvmmsg. It returns the number of
 // datagrams now exposed through views/addrs/keys.
 func (r *batchReader) read() (int, error) {
-	var got int
-	var errno syscall.Errno
-	err := r.rc.Read(func(fd uintptr) bool {
-		for {
-			// The kernel rewrites namelen per message; reset in/out fields.
-			for i := range r.hdrs {
-				r.hdrs[i].hdr.Namelen = uint32(syscall.SizeofSockaddrInet4)
-				r.hdrs[i].hdr.Flags = 0
-			}
-			n, _, e := syscall.Syscall6(uintptr(sysRecvmmsg), fd,
-				uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)), 0, 0, 0)
-			if e == syscall.EINTR {
-				continue
-			}
-			if e == syscall.EAGAIN {
-				return false // park on the poller until readable
-			}
-			got, errno = int(n), e
-			return true
-		}
-	})
-	runtime.KeepAlive(r)
-	if err != nil {
+	if err := r.rc.Read(r.readFn); err != nil {
 		return 0, err
 	}
-	if errno != 0 {
-		return 0, errno
+	if r.errno != 0 {
+		return 0, r.errno
 	}
+	got := r.got
 	r.syscalls++
 	r.datagrams += uint64(got)
 	for i := 0; i < got; i++ {
@@ -177,86 +164,135 @@ func (r *batchReader) read() (int, error) {
 	return got, nil
 }
 
+// recv is the rc.Read callback: one recvmmsg into the slab.
+func (r *batchReader) recv(fd uintptr) bool {
+	for {
+		// The kernel rewrites namelen per message; reset in/out fields.
+		for i := range r.hdrs {
+			r.hdrs[i].hdr.Namelen = uint32(syscall.SizeofSockaddrInet4)
+			r.hdrs[i].hdr.Flags = 0
+		}
+		n, _, e := syscall.Syscall6(uintptr(sysRecvmmsg), fd,
+			uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)), 0, 0, 0)
+		if e == syscall.EINTR {
+			continue
+		}
+		if e == syscall.EAGAIN {
+			return false // park on the poller until readable
+		}
+		r.got, r.errno = int(n), e
+		return true
+	}
+}
+
 // addr returns the sender of datagram i of the last read. The pointed-to
 // struct is reused on the next read; retainers must cloneUDPAddr it.
 func (r *batchReader) addr(i int) *net.UDPAddr { return &r.addrs[i] }
 
-// sender coalesces datagrams to one destination into sendmmsg calls.
-// Not safe for concurrent use; transports pool senders per flush.
+// sender moves datagrams to any mix of destinations with sendmmsg:
+// every mmsghdr carries its own sockaddr, so one loop pass's whole
+// egress leaves in ceil(n/batch) syscalls. Not safe for concurrent use;
+// the client pools senders, the server owns one on its owner core.
 type sender struct {
+	rc   syscall.RawConn
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
-	sa   syscall.RawSockaddrInet4
+	sas  []syscall.RawSockaddrInet4
+	slot []int // pkts index behind each vector slot of the current call
+
+	// One sendmmsg's arguments and results, shared with the write
+	// callback bound once at construction (a fresh closure per call
+	// would escape to the heap).
+	vlen    int
+	sent    int
+	errno   syscall.Errno
+	writeFn func(fd uintptr) bool
 
 	syscalls  uint64
 	datagrams uint64
 }
 
-func newSender(batch int) *sender {
+// newSender builds a sender on conn, which must be an open socket.
+func newSender(conn *net.UDPConn, batch int) *sender {
 	if batch <= 0 {
 		batch = defaultSendBatch
 	}
-	s := &sender{hdrs: make([]mmsghdr, batch), iovs: make([]syscall.Iovec, batch)}
+	rc, _ := conn.SyscallConn() // fails only on a nil conn
+	s := &sender{
+		rc:   rc,
+		hdrs: make([]mmsghdr, batch),
+		iovs: make([]syscall.Iovec, batch),
+		sas:  make([]syscall.RawSockaddrInet4, batch),
+		slot: make([]int, batch),
+	}
 	for i := range s.hdrs {
-		s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&s.sa))
+		s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&s.sas[i]))
 		s.hdrs[i].hdr.Namelen = uint32(syscall.SizeofSockaddrInet4)
 		s.hdrs[i].hdr.Iov = &s.iovs[i]
 		s.hdrs[i].hdr.Iovlen = 1
+		s.sas[i].Family = syscall.AF_INET
 	}
+	s.writeFn = s.write
 	return s
 }
 
-// sendTo transmits pkts to addr over conn in ceil(len/batch) or fewer
-// syscalls. Best-effort like WriteToUDP: an error drops the remainder
-// (the protocol tolerates datagram loss).
-func (s *sender) sendTo(conn *net.UDPConn, rc syscall.RawConn, addr *net.UDPAddr, pkts [][]byte) {
-	ip4 := addr.IP.To4()
-	if ip4 == nil {
-		return
-	}
-	s.sa.Family = syscall.AF_INET
-	s.sa.Port = htons(uint16(addr.Port))
-	copy(s.sa.Addr[:], ip4)
-	sent := 0
-	for sent < len(pkts) {
-		run := pkts[sent:]
-		if len(run) > len(s.hdrs) {
-			run = run[:len(s.hdrs)]
-		}
-		for i, p := range run {
+// send transmits pkts[i] to addrs[i] in ceil(len/batch) or fewer
+// syscalls. Best-effort like WriteToUDP: a datagram the kernel rejects
+// (or one bound for a non-IPv4 address) is dropped and the rest still
+// go out — the protocol tolerates datagram loss.
+func (s *sender) send(addrs []*net.UDPAddr, pkts [][]byte) {
+	for i := 0; i < len(pkts); {
+		n := 0
+		for ; n < len(s.hdrs) && i < len(pkts); i++ {
+			ip4 := addrs[i].IP.To4()
+			if ip4 == nil {
+				continue
+			}
+			p := pkts[i]
 			if len(p) == 0 {
 				p = zeroPayload[:]
 			}
-			s.iovs[i].Base = &p[0]
-			s.iovs[i].SetLen(len(pkts[sent+i]))
+			s.iovs[n].Base = &p[0]
+			s.iovs[n].SetLen(len(pkts[i]))
+			s.sas[n].Port = htons(uint16(addrs[i].Port))
+			copy(s.sas[n].Addr[:], ip4)
+			s.slot[n] = i
+			n++
 		}
-		var n int
-		var errno syscall.Errno
-		err := rc.Write(func(fd uintptr) bool {
-			for {
-				wn, _, e := syscall.Syscall6(uintptr(sysSendmmsg), fd,
-					uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(len(run)), 0, 0, 0)
-				if e == syscall.EINTR {
-					continue
-				}
-				if e == syscall.EAGAIN {
-					return false // wait for writability
-				}
-				n, errno = int(wn), e
-				return true
-			}
-		})
-		runtime.KeepAlive(run)
-		runtime.KeepAlive(s)
-		if err != nil || errno != 0 {
+		if n == 0 {
 			return
 		}
-		if n <= 0 {
-			return
+		s.vlen = n
+		if err := s.rc.Write(s.writeFn); err != nil {
+			return // socket closed
+		}
+		if s.errno != 0 || s.sent <= 0 {
+			// The first datagram of the vector failed: drop it alone.
+			i = s.slot[0] + 1
+			continue
 		}
 		s.syscalls++
-		s.datagrams += uint64(n)
-		sent += n
+		s.datagrams += uint64(s.sent)
+		if s.sent < n {
+			i = s.slot[s.sent] // resume at the first unsent datagram
+		}
+	}
+	runtime.KeepAlive(pkts)
+}
+
+// write is the rc.Write callback: one sendmmsg of the prepared vector.
+func (s *sender) write(fd uintptr) bool {
+	for {
+		n, _, e := syscall.Syscall6(uintptr(sysSendmmsg), fd,
+			uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(s.vlen), 0, 0, 0)
+		if e == syscall.EINTR {
+			continue
+		}
+		if e == syscall.EAGAIN {
+			return false // wait for writability
+		}
+		s.sent, s.errno = int(n), e
+		return true
 	}
 }
 

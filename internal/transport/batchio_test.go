@@ -36,19 +36,17 @@ func TestBatchIORoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	rawSrc, err := src.SyscallConn()
-	if err != nil {
-		t.Fatal(err)
-	}
 	srcAddr := src.LocalAddr().(*net.UDPAddr)
 
 	const total = 64
 	pkts := make([][]byte, total)
+	addrs := make([]*net.UDPAddr, total)
 	for i := range pkts {
 		pkts[i] = []byte(fmt.Sprintf("dg-%03d", i))
+		addrs[i] = addr
 	}
-	sn := newSender(16)
-	sn.sendTo(src, rawSrc, addr, pkts)
+	sn := newSender(src, 16)
+	sn.send(addrs, pkts)
 	if batchIOSupported && sn.syscalls >= total {
 		t.Fatalf("sender used %d syscalls for %d datagrams; no amortization", sn.syscalls, total)
 	}
@@ -91,6 +89,88 @@ func TestBatchIORoundTrip(t *testing.T) {
 		if !got[string(pkts[i])] {
 			t.Fatalf("datagram %q lost", pkts[i])
 		}
+	}
+}
+
+// TestSendMixedDestinations sends one vector whose datagrams are bound
+// for three different sockets: on Linux it must leave in a single
+// sendmmsg, and every socket must receive exactly its own datagrams.
+func TestSendMixedDestinations(t *testing.T) {
+	src, err := newEphemeral()
+	if err != nil {
+		t.Skipf("loopback UDP unavailable: %v", err)
+	}
+	defer src.Close()
+	const sinks, perSink = 3, 4
+	conns := make([]*net.UDPConn, sinks)
+	for i := range conns {
+		if conns[i], err = newEphemeral(); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[i].Close()
+	}
+	// Interleave destinations so no two neighbours share one.
+	var addrs []*net.UDPAddr
+	var pkts [][]byte
+	for j := 0; j < perSink; j++ {
+		for i, c := range conns {
+			addrs = append(addrs, c.LocalAddr().(*net.UDPAddr))
+			pkts = append(pkts, []byte(fmt.Sprintf("sink%d-%d", i, j)))
+		}
+	}
+	sn := newSender(src, 32)
+	sn.send(addrs, pkts)
+	if sn.datagrams != sinks*perSink {
+		t.Fatalf("sent %d datagrams, want %d", sn.datagrams, sinks*perSink)
+	}
+	if batchIOSupported && sn.syscalls != 1 {
+		t.Fatalf("sent in %d syscalls, want 1 sendmmsg", sn.syscalls)
+	}
+	buf := make([]byte, 64)
+	for i, c := range conns {
+		for j := 0; j < perSink; j++ {
+			setReadDeadline(c, 2*time.Second)
+			n, _, err := c.ReadFromUDP(buf)
+			if err != nil {
+				t.Fatalf("sink %d datagram %d: %v", i, j, err)
+			}
+			if got, want := string(buf[:n]), fmt.Sprintf("sink%d-%d", i, j); got != want {
+				t.Fatalf("sink %d got %q, want %q", i, got, want)
+			}
+		}
+	}
+}
+
+// TestBatchIOZeroAlloc pins both directions of the data plane at zero
+// heap allocations per call: a send's per-datagram sockaddrs live in
+// the sender's reused vectors, and both syscall callbacks are bound
+// once instead of escaping as a fresh closure per call.
+func TestBatchIOZeroAlloc(t *testing.T) {
+	src, err := newEphemeral()
+	if err != nil {
+		t.Skipf("loopback UDP unavailable: %v", err)
+	}
+	defer src.Close()
+	dst, err := newEphemeral()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	addr := dst.LocalAddr().(*net.UDPAddr)
+	addrs := []*net.UDPAddr{addr, addr, addr}
+	pkts := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	sn := newSender(src, 8)
+	r, err := newBatchReader(dst, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sn.send(addrs, pkts)
+		if _, err := r.read(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("send+read allocates %.1f/op, want 0", n)
 	}
 }
 

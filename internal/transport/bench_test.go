@@ -108,8 +108,10 @@ func benchDataplane(b *testing.B, batch, sockets int) {
 	nsend := len(conns)
 	payload := make([]byte, 512)
 	pkts := make([][]byte, batch)
+	addrs := make([]*net.UDPAddr, batch)
 	for i := range pkts {
 		pkts[i] = payload
+		addrs[i] = addr
 	}
 	total := b.N
 	quota := make([]int, nsend)
@@ -134,11 +136,7 @@ func benchDataplane(b *testing.B, batch, sockets int) {
 			b.Fatal(err)
 		}
 		defer src.Close()
-		rawSrc, err := src.SyscallConn()
-		if err != nil {
-			b.Fatal(err)
-		}
-		sn := newSender(batch)
+		sn := newSender(src, batch)
 		senders[i] = sn
 		sendWG.Add(1)
 		go func(q int) {
@@ -152,7 +150,7 @@ func benchDataplane(b *testing.B, batch, sockets int) {
 				if n > batch {
 					n = batch
 				}
-				sn.sendTo(src, rawSrc, addr, pkts[:n])
+				sn.send(addrs[:n], pkts[:n])
 				done += n
 				sent.Add(uint64(n))
 			}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"syscall"
 	"time"
 
 	"hovercraft/internal/r2p2"
@@ -30,10 +29,9 @@ type ClientOptions struct {
 type Client struct {
 	opts     ClientOptions
 	conn     *net.UDPConn
-	rawConn  syscall.RawConn
 	peers    []*net.UDPAddr
 	r2cl     *r2p2.Client
-	sendPool sync.Pool // *sender: request fan-out batches per peer
+	sendPool sync.Pool // *fanout
 
 	mu      sync.Mutex
 	drv     *runtime.Driver
@@ -43,6 +41,14 @@ type Client struct {
 
 	closed  chan struct{}
 	closeMu sync.Once
+}
+
+// fanout is a pooled sender with its destination scratch: one request's
+// datagrams to every peer it goes to, sent in one sendmmsg.
+type fanout struct {
+	snd   *sender
+	addrs []*net.UDPAddr
+	pkts  [][]byte
 }
 
 type clientResult struct {
@@ -89,20 +95,16 @@ func Dial(peerAddrs []string, opts ...ClientOptions) (*Client, error) {
 		}
 	}
 	setSockBufs([]*net.UDPConn{conn}, 0)
-	rawConn, err := conn.SyscallConn()
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("transport: client raw conn: %w", err)
-	}
 	c := &Client{
 		opts:    o,
 		conn:    conn,
-		rawConn: rawConn,
 		waiting: make(map[uint32]*callState),
 		start:   time.Now(),
 		closed:  make(chan struct{}),
 	}
-	c.sendPool.New = func() interface{} { return newSender(defaultSendBatch) }
+	c.sendPool.New = func() interface{} {
+		return &fanout{snd: newSender(conn, defaultSendBatch)}
+	}
 	c.drv = runtime.New((*clientHandler)(c), runtime.Options{
 		Now:          func() time.Duration { return time.Since(c.start) },
 		ReasmTimeout: o.Timeout,
@@ -226,6 +228,8 @@ func (c *Client) Call(cmd []byte, readOnly bool) ([]byte, error) {
 	var lastErr error = ErrTimeout
 	backoff := 2 * time.Millisecond
 	var hinted time.Duration // retry-after carried by the last NACK round
+	timer := time.NewTimer(c.opts.Timeout)
+	defer timer.Stop()
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
 			// NACK fan-in restarts per attempt (a full round of
@@ -245,21 +249,18 @@ func (c *Client) Call(cmd []byte, readOnly bool) ([]byte, error) {
 				d = hinted
 			}
 			d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
+			resetTimer(timer, d)
 			select {
 			case <-c.closed:
 				return nil, errors.New("transport: client closed")
-			case <-time.After(d):
+			case <-timer.C:
 			}
 			backoff *= 2
+			resetTimer(timer, c.opts.Timeout)
 		}
 		hinted = 0
-		// Fan the request out to every node, one vectored send per peer
-		// (multi-fragment requests ride a single sendmmsg).
-		sn := c.sendPool.Get().(*sender)
-		for _, peer := range c.peers {
-			sn.sendTo(c.conn, c.rawConn, peer, dgs)
-		}
-		c.sendPool.Put(sn)
+		// Fan the request out to every node in one vectored send.
+		c.send(c.peers, dgs)
 		select {
 		case res := <-st.ch:
 			if res.nack {
@@ -268,7 +269,7 @@ func (c *Client) Call(cmd []byte, readOnly bool) ([]byte, error) {
 				continue
 			}
 			return res.payload, nil
-		case <-time.After(c.opts.Timeout):
+		case <-timer.C:
 			lastErr = ErrTimeout
 		case <-c.closed:
 			return nil, errors.New("transport: client closed")
@@ -305,6 +306,8 @@ func (c *Client) CallRead(cmd []byte) ([]byte, error) {
 	}()
 
 	var lastErr error = ErrTimeout
+	timer := time.NewTimer(c.opts.Timeout)
+	defer timer.Stop()
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
 			// The previous attempt was deregistered (NACK) or may race a
@@ -314,11 +317,10 @@ func (c *Client) CallRead(cmd []byte) ([]byte, error) {
 			st.nacks = 0
 			c.waiting[id.ReqID] = st
 			c.mu.Unlock()
+			resetTimer(timer, c.opts.Timeout)
 		}
-		peer := c.peers[(tgt+attempt)%len(c.peers)]
-		sn := c.sendPool.Get().(*sender)
-		sn.sendTo(c.conn, c.rawConn, peer, dgs)
-		c.sendPool.Put(sn)
+		k := (tgt + attempt) % len(c.peers)
+		c.send(c.peers[k:k+1], dgs)
 		select {
 		case res := <-st.ch:
 			if res.nack {
@@ -327,11 +329,41 @@ func (c *Client) CallRead(cmd []byte) ([]byte, error) {
 				continue
 			}
 			return res.payload, nil
-		case <-time.After(c.opts.Timeout):
+		case <-timer.C:
 			lastErr = ErrTimeout
 		case <-c.closed:
 			return nil, errors.New("transport: client closed")
 		}
 	}
 	return nil, lastErr
+}
+
+// send transmits one request's datagrams to every peer in peers with a
+// single vectored send.
+func (c *Client) send(peers []*net.UDPAddr, dgs [][]byte) {
+	f := c.sendPool.Get().(*fanout)
+	for _, peer := range peers {
+		for _, dg := range dgs {
+			f.addrs = append(f.addrs, peer)
+			f.pkts = append(f.pkts, dg)
+		}
+	}
+	f.snd.send(f.addrs, f.pkts)
+	clear(f.pkts) // drop the request bytes; the pool outlives the call
+	f.addrs, f.pkts = f.addrs[:0], f.pkts[:0]
+	c.sendPool.Put(f)
+}
+
+// resetTimer re-arms t to fire after d. go.mod pins pre-1.23 timer
+// semantics, where a fired but unread value stays buffered in t.C
+// across Stop and Reset: drain it first, or the next wait would return
+// at once.
+func resetTimer(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }

@@ -24,7 +24,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"hovercraft/internal/admission"
@@ -173,12 +172,14 @@ type ServerConfig struct {
 // boundary rather than the next tick.
 //
 // All egress leaves through the owning core: datagrams produced while
-// the engine steps are queued on the owner's coalescer and flushed
-// with sendmmsg — one flush drains a pipelined-AE batch in a handful
-// of syscalls. The flush is also the durability barrier: when the
-// storage group-commits (raft.GroupCommitter), the staged WAL batch is
-// written and fsynced once before any datagram that could acknowledge
-// it leaves the node.
+// the engine steps are queued on the owner's egress queue, and the
+// pass's whole egress, whatever its destinations, leaves at the end of
+// the pass in sendmmsg batches. State-machine operations run on a
+// separate app thread, one job per apply batch, whose single completion
+// re-enters the owner loop. The flush is also the durability barrier:
+// when the storage group-commits (raft.GroupCommitter), the staged WAL
+// batch is written and fsynced once before any datagram that could
+// acknowledge it leaves the node.
 //
 // The control plane (IsLeader, Status, DebugVars, metrics) never
 // touches the engine either: the owner publishes a snapshot into
@@ -187,7 +188,6 @@ type Server struct {
 	cfg     ServerConfig
 	conn    *net.UDPConn // the owning core's socket; all egress goes out here
 	conns   []*net.UDPConn
-	rawConn syscall.RawConn // cached for vectored sends on conn
 	engine  *core.Engine
 	service app.Service
 	gc      raft.GroupCommitter // non-nil when Storage group-commits
@@ -202,8 +202,10 @@ type Server struct {
 	from     *net.UDPAddr // sender of the datagram being ingested
 	fromIP   [4]byte      // backing for fromAddr.IP, rewritten per datagram
 	fromAddr net.UDPAddr
-	eg       []egressItem // egress queued during the current loop pass
-	snd      *sender
+	egAddrs  []*net.UDPAddr // egress queued during the current loop pass:
+	egBufs   []*wire.Buf    // datagram egBufs[i], whose bytes are
+	egPkts   [][]byte       // egPkts[i], goes to egAddrs[i]
+	snd      *sender        // sends on conn
 	admit    *core.FlowControl
 	admCtrl  *admission.Controller
 	admGC    time.Duration // next slot-leak sweep (telemetry clock)
@@ -244,19 +246,10 @@ type pubState struct {
 	admLeaked   atomic.Uint64
 }
 
+// runJob is one apply batch for the application thread.
 type runJob struct {
-	payload  []byte
-	readOnly bool
-	done     func([]byte)
-	enq      time.Duration // telemetry clock at enqueue (0 when off)
-}
-
-// egressItem is one queued datagram: a pooled wire buffer bound for a
-// destination. The addr pointers are the stable entries of the peer,
-// aggregator, and client tables, so run-grouping can compare pointers.
-type egressItem struct {
-	addr *net.UDPAddr
-	buf  *wire.Buf
+	ops  []core.AppOp
+	done func([][]byte)
 }
 
 // NewServer binds the node to its configured address and starts serving.
@@ -302,23 +295,17 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 			c.Close()
 		}
 	}
-	rawConn, err := conns[aff].SyscallConn()
-	if err != nil {
-		closeAll()
-		return nil, fmt.Errorf("transport: raw conn: %w", err)
-	}
 	s := &Server{
 		cfg:      cfg,
 		conn:     conns[aff],
 		conns:    conns,
-		rawConn:  rawConn,
 		service:  svc,
 		peers:    make(map[raft.NodeID]*net.UDPAddr),
 		clients:  make(map[clientKey]*net.UDPAddr),
 		start:    time.Now(),
 		affinity: aff,
 		ctr:      stats.NewCounterSet(),
-		runq:     make(chan runJob, 1024),
+		runq:     make(chan runJob, 1), // the engine submits one batch at a time
 		closed:   make(chan struct{}),
 	}
 	s.fromAddr.IP = s.fromIP[:]
@@ -356,7 +343,7 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 			s.tel.SetSLO(target, 0.99)
 		}
 	}
-	s.snd = newSender(cfg.SendBatch)
+	s.snd = newSender(s.conn, cfg.SendBatch)
 	ids := make([]raft.NodeID, 0, len(cfg.Peers))
 	for id, pa := range cfg.Peers {
 		ua, err := net.ResolveUDPAddr("udp4", pa)
@@ -646,15 +633,29 @@ func (s *Server) Close() error {
 func (s *Server) coreLoop(lp *runtime.Loop, r *batchReader, c *net.UDPConn) {
 	defer s.wg.Done()
 	owner := lp.IsOwner()
+	// armed is the tick time the read deadline is set to; -1 once a
+	// kick or timeout may have replaced it with a past deadline.
+	armed := time.Duration(-1)
 	for {
 		if owner {
-			// Park at most until the next tick. The pending re-check
-			// must come after the arm: a producer that kicked between
-			// Advance and SetReadDeadline would otherwise have its
-			// expired deadline overwritten and wait out a full tick.
-			setReadDeadline(c, lp.NextWake())
-			if !lp.ShouldPark() {
-				_ = c.SetReadDeadline(aLongTimeAgo)
+			// Park at most until the next tick. The deadline is re-armed
+			// only when the tick time moved or a failed read consumed it:
+			// a kick always fails the next read (an expired deadline
+			// fails every read), so an untouched deadline is either the
+			// armed one or a kick still pending. After an arm, the
+			// pending re-check catches a producer that kicked between
+			// Advance and the arm, whose expired deadline the arm just
+			// overwrote.
+			if due := lp.NextTick(); due != armed {
+				armed = due
+				var t time.Time
+				if due > 0 {
+					t = s.start.Add(due)
+				}
+				_ = c.SetReadDeadline(t)
+				if !lp.ShouldPark() {
+					_ = c.SetReadDeadline(aLongTimeAgo)
+				}
 			}
 		}
 		n, err := r.read()
@@ -665,6 +666,7 @@ func (s *Server) coreLoop(lp *runtime.Loop, r *batchReader, c *net.UDPConn) {
 			default:
 			}
 			if owner {
+				armed = -1
 				lp.Advance() // timeout or kick: tick and drain handoffs
 			}
 			continue
@@ -748,27 +750,38 @@ func (s *Server) publish() {
 	}
 }
 
-// appLoop is the application thread: it executes state-machine operations
-// one at a time (off the owner core), then submits the completion back
-// into the owner loop, which delivers it at its next boundary.
+// appLoop is the application thread: it executes each batch's
+// operations back to back (off the owner core), then submits one
+// completion carrying every reply back into the owner loop, which
+// delivers it at its next boundary.
 func (s *Server) appLoop() {
 	defer s.wg.Done()
+	var replies [][]byte
 	for {
 		select {
 		case <-s.closed:
 			return
 		case job := <-s.runq:
-			var t0 time.Duration
-			if s.tel.Active() {
-				t0 = s.tel.Now()
-				// Apply-queue delay: commit (enqueue) → execution start.
-				s.tel.Record(obs.QApplyQueue, t0-job.enq)
+			// The engine dispatches the next batch only after consuming
+			// this one's replies, so the slice can be reused.
+			replies = replies[:0]
+			for i := range job.ops {
+				op := &job.ops[i]
+				var t0 time.Duration
+				if s.tel.Active() {
+					t0 = s.tel.Now()
+					if op.Stamped {
+						// Apply-queue delay: commit → execution start.
+						s.tel.Record(obs.QApplyQueue, t0-op.Committed)
+					}
+				}
+				replies = append(replies, s.service.Execute(op.Payload, op.ReadOnly))
+				if s.tel.Active() {
+					s.tel.Record(obs.QService, s.tel.Now()-t0)
+				}
 			}
-			reply := s.service.Execute(job.payload, job.readOnly)
-			if s.tel.Active() {
-				s.tel.Record(obs.QService, s.tel.Now()-t0)
-			}
-			s.owner.Submit(func() { job.done(reply) })
+			done, out := job.done, replies
+			s.owner.Submit(func() { done(out) })
 		}
 	}
 }
@@ -776,11 +789,12 @@ func (s *Server) appLoop() {
 // flushOwned is the owner loop's coalesced send path and the
 // durability barrier: first the group-committing storage (if any)
 // makes every staged WAL record durable — no ack may leave before its
-// covering fsync — then consecutive same-destination runs go out via
-// sendmmsg on the owner's socket.
+// covering fsync — then the pass's whole egress (replies, FEEDBACK,
+// AppendEntries, to any mix of destinations) goes out in sendmmsg
+// batches on the owner's socket.
 func (s *Server) flushOwned() {
-	items := s.eg
-	if len(items) == 0 {
+	n := len(s.egBufs)
+	if n == 0 {
 		return
 	}
 	if s.gc != nil {
@@ -798,30 +812,18 @@ func (s *Server) flushOwned() {
 	if s.tel.Active() {
 		eg0 = s.tel.Now()
 	}
-	var pkts [][]byte
-	for i := 0; i < len(items); {
-		j := i
-		for j < len(items) && items[j].addr == items[i].addr {
-			j++
-		}
-		pkts = pkts[:0]
-		for _, it := range items[i:j] {
-			pkts = append(pkts, it.buf.B)
-		}
-		s.snd.sendTo(s.conn, s.rawConn, items[i].addr, pkts)
-		i = j
-	}
+	s.snd.send(s.egAddrs, s.egPkts)
 	if s.tel.Active() {
-		s.tel.RecordN(obs.QEgress, s.tel.Now()-eg0, len(items))
+		s.tel.RecordN(obs.QEgress, s.tel.Now()-eg0, n)
 	}
-	s.ctr.Get("egress_datagrams").Add(uint64(len(items)))
+	s.ctr.Get("egress_datagrams").Add(uint64(n))
 	s.ctr.Get("egress_syscalls").Add(s.snd.syscalls)
 	s.snd.syscalls, s.snd.datagrams = 0, 0
-	for i := range items {
-		items[i].buf.Release()
-		items[i] = egressItem{}
+	for i, b := range s.egBufs {
+		b.Release()
+		s.egBufs[i], s.egAddrs[i], s.egPkts[i] = nil, nil, nil
 	}
-	s.eg = items[:0]
+	s.egBufs, s.egAddrs, s.egPkts = s.egBufs[:0], s.egAddrs[:0], s.egPkts[:0]
 }
 
 // serverHandler adapts Server to runtime.Handler: it learns client
@@ -882,7 +884,9 @@ func (t *serverTransport) enqueue(addr *net.UDPAddr, dgs []*wire.Buf) {
 		return
 	}
 	for _, b := range dgs {
-		t.eg = append(t.eg, egressItem{addr: addr, buf: b})
+		t.egAddrs = append(t.egAddrs, addr)
+		t.egBufs = append(t.egBufs, b)
+		t.egPkts = append(t.egPkts, b.B)
 	}
 }
 
@@ -928,13 +932,9 @@ func (t *serverTransport) SendFeedback(dgs []*wire.Buf) {
 // serverRunner adapts Server to core.AppRunner.
 type serverRunner Server
 
-func (r *serverRunner) Run(payload []byte, readOnly bool, done func([]byte)) {
-	var enq time.Duration
-	if r.tel.Active() {
-		enq = r.tel.Now()
-	}
+func (r *serverRunner) Run(ops []core.AppOp, done func([][]byte)) {
 	select {
-	case r.runq <- runJob{payload: payload, readOnly: readOnly, done: done, enq: enq}:
+	case r.runq <- runJob{ops: ops, done: done}:
 	case <-r.closed:
 	}
 }

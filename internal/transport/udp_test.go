@@ -436,3 +436,68 @@ func TestUDPMultiCoreEndToEnd(t *testing.T) {
 		t.Fatalf("%d handoff drops at test load", drops)
 	}
 }
+
+// TestUDPEgressBatchesAcrossDestinations has the leader answer two
+// clients whose requests commit together: the apply batch completes in
+// one owner pass, and that pass's egress — replies to both clients plus
+// AppendEntries to both followers, one datagram per destination — must
+// leave in fewer sendmmsg calls than datagrams.
+func TestUDPEgressBatchesAcrossDestinations(t *testing.T) {
+	if !batchIOSupported {
+		t.Skip("portable fallback sends one datagram per syscall")
+	}
+	ports := freePorts(t, 3)
+	peers := make(map[uint32]string, 3)
+	for i := 0; i < 3; i++ {
+		peers[uint32(i+1)] = ports[i]
+	}
+	var servers []*Server
+	for id := uint32(1); id <= 3; id++ {
+		s, err := NewServer(ServerConfig{
+			ID: id, Peers: peers, Mode: core.ModeHovercraft,
+			// A coarse tick makes both requests wait for the same
+			// AppendEntries; pinning replies to the leader makes it
+			// the one answering both clients.
+			TickInterval:  10 * time.Millisecond,
+			ElectionTicks: 20, HeartbeatTicks: 4,
+			DisableReplyLB: true,
+		}, &counterService{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, s)
+		defer s.Close()
+	}
+	servers[0].Campaign()
+	waitForLeader(t, servers)
+	var leader *Server
+	for _, s := range servers {
+		if s.IsLeader() {
+			leader = s
+		}
+	}
+	clients := []*Client{dialCluster(t, peers), dialCluster(t, peers)}
+	for _, cl := range clients {
+		defer cl.Close()
+	}
+	before := leader.NetStats()
+	var wg sync.WaitGroup
+	for _, cl := range clients {
+		wg.Add(1)
+		go func(cl *Client) {
+			defer wg.Done()
+			if _, err := cl.Call([]byte("incr"), false); err != nil {
+				t.Error(err)
+			}
+		}(cl)
+	}
+	wg.Wait()
+	// The egress counters move just after the reply's sendmmsg returns.
+	time.Sleep(5 * time.Millisecond)
+	after := leader.NetStats()
+	dgs := after["egress_datagrams"] - before["egress_datagrams"]
+	calls := after["egress_syscalls"] - before["egress_syscalls"]
+	if dgs < 4 || calls >= dgs {
+		t.Fatalf("leader sent %d datagrams in %d syscalls; want several per sendmmsg", dgs, calls)
+	}
+}

@@ -68,8 +68,10 @@ func TestUDPWALRestartPreservesState(t *testing.T) {
 	servers = servers[:0]
 	for id := uint32(1); id <= 3; id++ {
 		s, fs := start(id)
-		defer s.Close()
+		// Deferred calls run last-in first-out: the server stops before
+		// its WAL closes, so no in-flight append hits a closed file.
 		defer fs.Close()
+		defer s.Close()
 		servers = append(servers, s)
 	}
 	servers[0].Campaign()
