@@ -8,8 +8,8 @@ import (
 )
 
 // Target is the cluster surface the injector drives. simcluster.Cluster
-// and simcluster.MultiCluster provide adapters (their FaultTarget
-// methods); anything else built on simnet can implement it too.
+// provides the adapter (its FaultTarget method), sharded or not;
+// anything else built on simnet can implement it too.
 type Target interface {
 	// NumNodes is the pool size; node indexes below are 0-based.
 	NumNodes() int

@@ -77,10 +77,11 @@ func HovercraftPP(n int) SystemSpec {
 }
 
 // WorkloadSpec builds per-run workload state: the client-side generator,
-// the per-node service, and any preload dataset.
+// the service (one instance per group replica, matching
+// simcluster.Options.NewService), and any preload dataset.
 type WorkloadSpec interface {
 	NewWorkload(unreplicated bool) loadgen.Workload
-	NewService() (app.Service, app.CostModel)
+	NewService(group int) (app.Service, app.CostModel)
 	Preload() [][]byte
 	Describe() string
 }
@@ -102,7 +103,7 @@ func (s SyntheticSpec) NewWorkload(unrep bool) loadgen.Workload {
 }
 
 // NewService implements WorkloadSpec.
-func (s SyntheticSpec) NewService() (app.Service, app.CostModel) {
+func (s SyntheticSpec) NewService(int) (app.Service, app.CostModel) {
 	svc := &app.SynthService{}
 	return svc, svc
 }
@@ -129,7 +130,7 @@ func (y *YCSBESpec) NewWorkload(unrep bool) loadgen.Workload {
 }
 
 // NewService implements WorkloadSpec.
-func (y *YCSBESpec) NewService() (app.Service, app.CostModel) {
+func (y *YCSBESpec) NewService(int) (app.Service, app.CostModel) {
 	s := kvstore.New()
 	return s, s
 }
@@ -179,7 +180,7 @@ func (y *YCSBMixSpec) NewWorkload(unrep bool) loadgen.Workload {
 }
 
 // NewService implements WorkloadSpec.
-func (y *YCSBMixSpec) NewService() (app.Service, app.CostModel) {
+func (y *YCSBMixSpec) NewService(int) (app.Service, app.CostModel) {
 	s := kvstore.New()
 	return s, s
 }

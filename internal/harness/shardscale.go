@@ -31,7 +31,7 @@ func (s ShardSpec) label() string {
 // ShardRunResult bundles a sharded measurement with its cluster state.
 type ShardRunResult struct {
 	Point   Point
-	Cluster *simcluster.MultiCluster
+	Cluster *simcluster.Cluster
 	Clients []*loadgen.Client
 	Hist    *stats.Histogram
 	Shards  []*loadgen.ShardStat
@@ -54,7 +54,8 @@ func RunShardPoint(spec ShardSpec, rate float64, rc RunConfig) ShardRunResult {
 	serverHost := simnet.DefaultHostConfig()
 	serverHost.ProcBytesPerSec = 1_670_000_000
 	serverHost.ProcFilter = consensusPayload
-	cl := simcluster.NewMulti(simcluster.MultiOptions{
+	cl := simcluster.New(simcluster.Options{
+		Setup:  simcluster.SetupHovercraft,
 		Groups: spec.Groups, Nodes: spec.Pool, Replication: spec.Replication,
 		Seed: rc.Seed, Host: serverHost,
 		DisableReplyLB: true, // isolate protocol overheads, as in §7.1

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"math/rand"
 	"time"
 
 	"hovercraft/internal/obs"
@@ -96,10 +95,10 @@ type pendingReq struct {
 // (hardware-timestamp-style: at the NIC handler, before any client-side
 // queueing).
 type Client struct {
+	retrier
 	cfg  ClientConfig
 	host *simnet.Host
 	sim  *simnet.Sim
-	rng  *rand.Rand
 
 	r2      *r2p2.Client
 	reasm   *r2p2.Reassembler
@@ -134,8 +133,6 @@ type Client struct {
 	// silently ignored as unknown.
 	done *ringSet
 
-	shards []*ShardStat // per-group breakdown (sharded mode only)
-
 	// nextRead spreads lin-reads round-robin across ReadTargets.
 	nextRead int
 
@@ -151,9 +148,9 @@ type Client struct {
 // NewClient attaches a client to the network on its own host.
 func NewClient(net *simnet.Network, name string, hostCfg simnet.HostConfig, cfg ClientConfig) *Client {
 	c := &Client{
+		retrier:      retrier{rng: net.Sim().Rand()},
 		cfg:          cfg,
 		sim:          net.Sim(),
-		rng:          net.Sim().Rand(),
 		reasm:        r2p2.NewReassembler(cfg.Timeout),
 		pending:      r2p2.NewPending[pendingReq](),
 		Latency:      stats.NewHistogram(),
@@ -168,9 +165,6 @@ func NewClient(net *simnet.Network, name string, hostCfg simnet.HostConfig, cfg 
 	return c
 }
 
-// Host returns the client's simulated host.
-func (c *Client) Host() *simnet.Host { return c.host }
-
 // Start begins offering load.
 func (c *Client) Start() {
 	if c.cfg.Timeout <= 0 {
@@ -179,6 +173,7 @@ func (c *Client) Start() {
 	if c.cfg.RetryBackoff <= 0 {
 		c.cfg.RetryBackoff = c.cfg.Timeout
 	}
+	c.retries, c.timeout, c.base = c.cfg.Retries, c.cfg.Timeout, c.cfg.RetryBackoff
 	c.scheduleNext()
 	c.sim.After(c.tickEvery(), c.expireTick)
 	if c.cfg.SampleEvery > 0 {
@@ -283,39 +278,6 @@ func (c *Client) transmit(req pendingReq, dgs [][]byte) {
 	}
 }
 
-// backoffBase returns attempt's exponential backoff window (1-based):
-// RetryBackoff doubling per transmission.
-func (c *Client) backoffBase(attempt int) time.Duration {
-	d := c.cfg.RetryBackoff
-	for i := 1; i < attempt; i++ {
-		d *= 2
-	}
-	return d
-}
-
-// backoff returns attempt's expiry delay: a flat Timeout when retries
-// are disabled, else the exponential window with full jitter over its
-// upper half — drawn uniformly from [d/2, d] by the seeded rng, so the
-// retry herd a shared fault creates desynchronizes (fixed seeds stay
-// deterministic under virtual time), while the d/2 floor keeps an
-// attempt from expiring before the cluster could plausibly answer.
-func (c *Client) backoff(attempt int) time.Duration {
-	if c.cfg.Retries == 0 {
-		return c.cfg.Timeout
-	}
-	d := c.backoffBase(attempt)
-	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
-}
-
-// retryDelay is the wait before re-offering a NACKed request: at least
-// the admission middlebox's retry-after hint, plus full jitter drawn
-// from the attempt's backoff window ([0, d]) so the cohort one NACK
-// burst shed does not storm back in lockstep.
-func (c *Client) retryDelay(attempt int, hint time.Duration) time.Duration {
-	d := c.backoffBase(attempt)
-	return hint + time.Duration(c.rng.Int63n(int64(d)+1))
-}
-
 // tickEvery is the expiry-scan period: half the shortest deadline in use.
 func (c *Client) tickEvery() time.Duration {
 	d := c.cfg.Timeout
@@ -324,20 +286,6 @@ func (c *Client) tickEvery() time.Duration {
 	}
 	return d / 2
 }
-
-// shardStat returns (growing on demand) the breakdown slot for group g.
-func (c *Client) shardStat(g int) *ShardStat {
-	for len(c.shards) <= g {
-		c.shards = append(c.shards, &ShardStat{
-			Group:   len(c.shards),
-			Latency: stats.NewHistogram(),
-		})
-	}
-	return c.shards[g]
-}
-
-// ShardStats returns the per-group breakdown (nil when unsharded).
-func (c *Client) ShardStats() []*ShardStat { return c.shards }
 
 func (c *Client) onPacket(pkt *simnet.Packet) {
 	m, err := c.reasm.Ingest(pkt.Payload, uint32(pkt.Src), c.sim.Now())

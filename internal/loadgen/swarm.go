@@ -3,7 +3,6 @@ package loadgen
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"hovercraft/internal/r2p2"
@@ -96,9 +95,9 @@ type swarmHost struct {
 // arrival loop fans requests out across many simulated endpoints, and
 // all measurement state is shared. Counters and Result match Client's.
 type Swarm struct {
+	retrier
 	cfg   SwarmConfig
 	sim   *simnet.Sim
-	rng   *rand.Rand
 	hosts []*swarmHost
 
 	Latency    *stats.Histogram
@@ -110,8 +109,6 @@ type Swarm struct {
 
 	Retries        uint64
 	DupsSuppressed uint64
-
-	shards []*ShardStat
 
 	Throughput stats.Series
 	TailP99    stats.Series
@@ -137,9 +134,12 @@ func NewSwarm(net *simnet.Network, name string, hostCfg simnet.HostConfig, cfg S
 		cfg.BasePort = 1000
 	}
 	s := &Swarm{
+		retrier: retrier{
+			rng: net.Sim().Rand(), retries: cfg.Retries,
+			timeout: cfg.Timeout, base: cfg.RetryBackoff,
+		},
 		cfg:          cfg,
 		sim:          net.Sim(),
-		rng:          net.Sim().Rand(),
 		Latency:      stats.NewHistogram(),
 		intervalHist: stats.NewHistogram(),
 	}
@@ -283,45 +283,6 @@ func (s *Swarm) retransmit(h *swarmHost, req *swarmReq) {
 	s.Retries++
 	s.transmit(h, req)
 }
-
-// backoff mirrors Client.backoff: flat Timeout without retries, else
-// exponential doubling with full jitter over the window's upper half
-// ([d/2, d]), seeded so fixed-seed runs stay deterministic.
-func (s *Swarm) backoff(attempt int) time.Duration {
-	if s.cfg.Retries == 0 {
-		return s.cfg.Timeout
-	}
-	d := s.backoffBase(attempt)
-	return d/2 + time.Duration(s.rng.Int63n(int64(d/2)+1))
-}
-
-func (s *Swarm) backoffBase(attempt int) time.Duration {
-	d := s.cfg.RetryBackoff
-	for i := 1; i < attempt; i++ {
-		d *= 2
-	}
-	return d
-}
-
-// retryDelay mirrors Client.retryDelay: the NACK's retry-after hint as
-// a floor plus full jitter from the attempt's backoff window.
-func (s *Swarm) retryDelay(attempt int, hint time.Duration) time.Duration {
-	d := s.backoffBase(attempt)
-	return hint + time.Duration(s.rng.Int63n(int64(d)+1))
-}
-
-func (s *Swarm) shardStat(g int) *ShardStat {
-	for len(s.shards) <= g {
-		s.shards = append(s.shards, &ShardStat{
-			Group:   len(s.shards),
-			Latency: stats.NewHistogram(),
-		})
-	}
-	return s.shards[g]
-}
-
-// ShardStats returns the per-group breakdown (nil when unsharded).
-func (s *Swarm) ShardStats() []*ShardStat { return s.shards }
 
 func (s *Swarm) onPacket(h *swarmHost, pkt *simnet.Packet) {
 	m, err := h.reasm.Ingest(pkt.Payload, uint32(pkt.Src), s.sim.Now())

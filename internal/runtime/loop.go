@@ -11,8 +11,6 @@ import (
 
 // LoopOptions configure one per-core Loop.
 type LoopOptions struct {
-	// Core is the loop's index, used only for labeling.
-	Core int
 	// Owner, when non-nil, makes this a forwarding loop: it owns no
 	// engine, and every ingested datagram is handed to Owner through a
 	// dedicated SPSC mailbox. Nil makes this the owning loop.
@@ -62,7 +60,6 @@ type LoopOptions struct {
 // so a producer racing the drain re-arms the flag and the owner picks
 // the work up on its next pass — no missed wakeups, no lock.
 type Loop struct {
-	core      int
 	deliver   func(dg []byte, src uint32, port uint16, owned bool)
 	tick      func()
 	tickEvery time.Duration
@@ -87,7 +84,6 @@ type Loop struct {
 // starting any of their goroutines.
 func NewLoop(opts LoopOptions) *Loop {
 	l := &Loop{
-		core:      opts.Core,
 		deliver:   opts.Deliver,
 		tick:      opts.Tick,
 		tickEvery: opts.TickEvery,
@@ -119,9 +115,6 @@ func NewLoop(opts LoopOptions) *Loop {
 
 // IsOwner reports whether this loop owns an engine (vs forwarding).
 func (l *Loop) IsOwner() bool { return l.owner == nil }
-
-// Core returns the loop's index.
-func (l *Loop) Core() int { return l.core }
 
 // Counters exposes the loop's data-plane counters: ingress_datagrams
 // (delivered run-to-completion on this core), handoff_out/handoff_in

@@ -59,7 +59,7 @@ func TestLoopHandoffKickAndDrain(t *testing.T) {
 	var now atomic.Int64
 	var kicks atomic.Uint64
 	owner, got := newOwnerLoop(&now, &kicks, 0, nil)
-	peer := NewLoop(LoopOptions{Core: 1, Owner: owner, MailboxCap: 8,
+	peer := NewLoop(LoopOptions{Owner: owner, MailboxCap: 8,
 		Now: func() time.Duration { return time.Duration(now.Load()) }})
 	if peer.IsOwner() {
 		t.Fatal("forwarding loop must not own")
@@ -206,7 +206,7 @@ func TestLoopConcurrentHandoff(t *testing.T) {
 		},
 		Closed: closed,
 	})
-	peer := NewLoop(LoopOptions{Core: 1, Owner: owner, MailboxCap: 256,
+	peer := NewLoop(LoopOptions{Owner: owner, MailboxCap: 256,
 		Now: func() time.Duration { return time.Duration(now.Load()) }})
 
 	const total = 50000

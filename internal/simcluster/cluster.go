@@ -4,6 +4,14 @@
 // groups, and hooks for load-generating clients. It is the simulated
 // equivalent of the paper's testbed (§7) and the substrate for every
 // experiment in the harness.
+//
+// One Cluster runs Options.Groups independent Raft groups (Multi-Raft
+// sharding, DESIGN §4.8) placed by shard.Place over a pool of
+// Options.Nodes nodes, Options.Replication replicas each. The paper's
+// single-group deployment is Groups=1, Replication=Nodes. Each node owns
+// one runtime driver that dispatches on the R2P2 group byte to the
+// engine of that group, and one middlebox fronts every group with a
+// per-group flow-control window.
 package simcluster
 
 import (
@@ -17,6 +25,7 @@ import (
 	"hovercraft/internal/r2p2"
 	"hovercraft/internal/raft"
 	"hovercraft/internal/runtime"
+	"hovercraft/internal/shard"
 	"hovercraft/internal/simnet"
 	"hovercraft/internal/wire"
 )
@@ -54,13 +63,20 @@ func (s Setup) String() string {
 // Options configures a simulated cluster.
 type Options struct {
 	Setup Setup
-	// Nodes is the cluster size (forced to 1 for SetupUnreplicated).
+	// Nodes is the node pool size (forced to 1 for SetupUnreplicated).
 	Nodes int
-	Seed  int64
+	// Groups is the number of independent Raft groups placed over the
+	// pool (default 1, at most shard.MaxGroups). Groups > 1 requires
+	// SetupHovercraft.
+	Groups int
+	// Replication is each group's replica count (default Nodes). Group
+	// g's members and bootstrap leader come from shard.Place.
+	Replication int
+	Seed        int64
 	// Host configures node NICs; zero value uses paper defaults.
 	Host simnet.HostConfig
 
-	// Engine knobs (zero values take core defaults).
+	// Engine knobs (zero values take core defaults), applied per group.
 	TickInterval   time.Duration
 	ElectionTicks  int
 	HeartbeatTicks int
@@ -88,21 +104,24 @@ type Options struct {
 	// DriftTicks is the lease clock-drift margin (raft.Config.DriftTicks).
 	DriftTicks int
 
-	// FlowLimit caps in-flight requests at the middlebox (0 = 4096).
+	// FlowLimit caps each group's in-flight requests at the middlebox
+	// (0 = 4096).
 	FlowLimit int
 
-	// AdaptiveAdmission replaces the fixed FlowLimit window with the
-	// AIMD controller of internal/admission: the middlebox admit window
-	// tracks the worst queue-delay p99 across the nodes' consensus-path
-	// stages, shrinking under overload and recovering toward FlowLimit
-	// when the tail is healthy. Shed requests carry a retry-after hint.
-	// Requires per-node telemetry; when NewTelemetry is unset a
-	// fine-grained default (1ms epochs) is installed automatically.
+	// AdaptiveAdmission replaces each group's fixed FlowLimit window
+	// with an AIMD controller of internal/admission: the group's admit
+	// window tracks the worst queue-delay p99 across its live members'
+	// consensus-path stages, shrinking under overload and recovering
+	// toward FlowLimit when the tail is healthy, so a hot group sheds
+	// load while cold groups keep their full windows. Shed requests
+	// carry a retry-after hint. Requires per-node telemetry; when
+	// NewTelemetry is unset a fine-grained default (1ms epochs) is
+	// installed automatically.
 	AdaptiveAdmission bool
-	// Admission tunes the controller; zero values take the admission
+	// Admission tunes the controllers; zero values take the admission
 	// package defaults, with Max/Initial defaulting to FlowLimit.
 	Admission admission.Config
-	// AdmitTick is the controller's cadence (default 250µs virtual).
+	// AdmitTick is the controllers' cadence (default 250µs virtual).
 	AdmitTick time.Duration
 
 	// CompactEvery enables raft log compaction every N applied entries
@@ -111,7 +130,7 @@ type Options struct {
 
 	// Cores models the transport's per-core run-to-completion shards in
 	// virtual time: ingress packets hash by source across Cores virtual
-	// cores, the engine is owned by core 0, and packets landing on any
+	// cores, the engines are owned by core 0, and packets landing on any
 	// other core cross into the owner through the same bounded SPSC
 	// mailboxes the UDP transport uses, drained at the owner's next
 	// tick boundary. 0 or 1 keeps the single-core path bit-identical to
@@ -123,19 +142,22 @@ type Options struct {
 	// (0 = 1024); a full mailbox drops the packet, like the transport.
 	HandoffDepth int
 
-	// WAL, when true, gives every node an in-memory framed write-ahead
-	// log (raft.BufferStorage) so a crashed node can come back through
-	// Node.RestartFromWAL — a real post-crash recovery (volatile state
-	// lost, service rebuilt by log replay) rather than the in-memory
-	// resume of Node.Restart.
+	// WAL, when true, gives every replica an in-memory framed
+	// write-ahead log (raft.BufferStorage, one per group a node hosts)
+	// so a crashed node can come back through Node.RestartFromWAL — a
+	// real post-crash recovery (volatile state lost, services rebuilt by
+	// log replay) rather than the in-memory resume of Node.Restart.
 	WAL bool
 
-	// NewService builds each node's application instance. The returned
-	// cost model charges the simulated app thread; return the service
-	// itself when it implements app.CostModel.
-	NewService func() (app.Service, app.CostModel)
+	// NewService builds one group's application instance on one node.
+	// Every member of a group must build equivalent state machines; the
+	// group argument lets a keyed service know which slice of the
+	// keyspace it owns. The returned cost model charges the simulated
+	// app thread; return the service itself when it implements
+	// app.CostModel.
+	NewService func(group int) (app.Service, app.CostModel)
 
-	// Preload is applied to every node's service before the cluster
+	// Preload is applied to every service instance before the cluster
 	// starts (dataset loading, outside the measured window).
 	Preload [][]byte
 
@@ -145,30 +167,50 @@ type Options struct {
 	Obs *obs.Obs
 
 	// NewTelemetry, when non-nil, builds each node's queue-delay
-	// telemetry instrument (per-stage windowed histograms). The cluster
-	// binds every instrument's clock to virtual time, so a fixed seed
-	// produces identical telemetry counts run over run. The instrument
-	// survives crash/restart cycles (it models the process, not the
-	// engine incarnation).
+	// telemetry instrument (per-stage windowed histograms), shared by
+	// every group replica the node hosts. The cluster binds every
+	// instrument's clock to virtual time, so a fixed seed produces
+	// identical telemetry counts run over run. The instrument survives
+	// crash/restart cycles (it models the process, not the engine
+	// incarnation).
 	NewTelemetry func(id raft.NodeID) *obs.Telemetry
 }
 
-// Node is one simulated server.
+// Node is one simulated server. It hosts a replica of every group it is
+// a member of, all sharing the node's simulated host (NIC, app thread) —
+// the contention that makes overlapping placements saturate honestly.
 type Node struct {
-	ID      raft.NodeID
-	Host    *simnet.Host
-	Engine  *core.Engine             // nil for SetupUnreplicated
-	Unrep   *core.UnreplicatedEngine // nil unless SetupUnreplicated
-	Service app.Service
-	Tel     *obs.Telemetry // nil unless Options.NewTelemetry
+	ID   raft.NodeID
+	Host *simnet.Host
+	// Engines is indexed by group; nil where the node hosts no replica
+	// of the group, and everywhere under SetupUnreplicated.
+	Engines []*core.Engine
+	// Services is indexed like Engines (Services[0] under
+	// SetupUnreplicated).
+	Services []app.Service
+	Unrep    *core.UnreplicatedEngine // nil unless SetupUnreplicated
+	Tel      *obs.Telemetry           // nil unless Options.NewTelemetry
 
 	cluster    *Cluster
 	drv        *runtime.Driver
-	inboxes    []*runtime.Mailbox // cross-core handoff rings (Options.Cores > 1)
+	inboxes    []*runtime.Mailbox    // cross-core handoff rings (Options.Cores > 1)
+	wals       []*raft.BufferStorage // indexed like Engines (Options.WAL)
 	crashed    bool
-	storage    *raft.BufferStorage
 	fsyncDelay time.Duration
-	peers      []raft.NodeID
+}
+
+// Group is one Raft group's cluster-side state.
+type Group struct {
+	ID      shard.GroupID
+	Members []raft.NodeID
+	// Flow is the group's middlebox admission window (nil in setups
+	// without the middlebox).
+	Flow *core.FlowControl
+	// Ctrl is the adaptive controller driving Flow's window (nil unless
+	// Options.AdaptiveAdmission in a middlebox setup).
+	Ctrl *admission.Controller
+
+	addr simnet.Addr // multicast address of the member set
 }
 
 // Cluster is the assembled deployment.
@@ -177,33 +219,49 @@ type Cluster struct {
 	Net  *simnet.Network
 	Opts Options
 
-	Nodes []*Node
-	Agg   *core.Aggregator
-	Flow  *core.FlowControl
-	// Admission is the adaptive controller driving Flow's window (nil
-	// unless Options.AdaptiveAdmission in a middlebox setup).
-	Admission *admission.Controller
+	// Map is the shard map clients route keys by.
+	Map *shard.Map
+	// Placement records each group's members and bootstrap leader.
+	Placement shard.Placement
+
+	Nodes  []*Node
+	Groups []*Group
+	Agg    *core.Aggregator
 
 	// ServiceAddr is where clients send requests: the middlebox in
 	// HovercRaft modes, the (initial) leader in Vanilla, the server in
 	// UnRep.
 	ServiceAddr simnet.Addr
 
+	// StaleNacks counts requests the middlebox NACKed with the
+	// r2p2.GroupInvalid redirect sentinel (client shard map newer than
+	// the deployment's).
+	StaleNacks uint64
+
 	aggHost  *simnet.Host
 	flowHost *simnet.Host
 
-	groupAll    simnet.Addr
-	groupExcept map[raft.NodeID]simnet.Addr
+	groupExcept map[raft.NodeID]simnet.Addr // aggregator fan-out (HovercRaft++)
 	addrOf      map[raft.NodeID]simnet.Addr
 }
 
-// New assembles a cluster (does not start ticking; call Start).
+// New assembles a cluster (does not start ticking; call Start). It
+// panics on Groups > 1 with any setup but SetupHovercraft.
 func New(opts Options) *Cluster {
 	if opts.Setup == SetupUnreplicated {
 		opts.Nodes = 1
 	}
 	if opts.Nodes <= 0 {
 		opts.Nodes = 3
+	}
+	if opts.Groups <= 0 {
+		opts.Groups = 1
+	}
+	if opts.Groups > 1 && opts.Setup != SetupHovercraft {
+		panic(fmt.Sprintf("simcluster: %d groups need setup %v, not %v", opts.Groups, SetupHovercraft, opts.Setup))
+	}
+	if opts.Replication <= 0 {
+		opts.Replication = opts.Nodes
 	}
 	if opts.Host.LinkBps == 0 {
 		opts.Host = simnet.DefaultHostConfig()
@@ -215,7 +273,7 @@ func New(opts Options) *Cluster {
 		opts.TickInterval = 10 * time.Microsecond
 	}
 	if opts.NewService == nil {
-		opts.NewService = func() (app.Service, app.CostModel) {
+		opts.NewService = func(int) (app.Service, app.CostModel) {
 			s := &app.SynthService{}
 			return s, s
 		}
@@ -232,6 +290,7 @@ func New(opts Options) *Cluster {
 	c := &Cluster{
 		Sim:         simnet.New(opts.Seed),
 		Opts:        opts,
+		Map:         shard.NewMap(opts.Groups),
 		groupExcept: make(map[raft.NodeID]simnet.Addr),
 		addrOf:      make(map[raft.NodeID]simnet.Addr),
 	}
@@ -243,80 +302,88 @@ func New(opts Options) *Cluster {
 		})
 	}
 
-	peers := make([]raft.NodeID, opts.Nodes)
-	for i := range peers {
-		peers[i] = raft.NodeID(i + 1)
+	pool := make([]raft.NodeID, opts.Nodes)
+	for i := range pool {
+		pool[i] = raft.NodeID(i + 1)
 	}
+	c.Placement = shard.Place(opts.Groups, pool, opts.Replication)
 
-	// Server hosts.
-	for _, id := range peers {
+	// Server hosts; engines are attached per group below.
+	for _, id := range pool {
 		h := c.Net.NewHost(fmt.Sprintf("node%d", id), opts.Host)
 		c.addrOf[id] = h.Addr()
-		n := &Node{ID: id, Host: h, cluster: c, peers: peers}
+		n := &Node{
+			ID: id, Host: h, cluster: c,
+			Engines:  make([]*core.Engine, opts.Groups),
+			Services: make([]app.Service, opts.Groups),
+			wals:     make([]*raft.BufferStorage, opts.Groups),
+		}
 		if opts.NewTelemetry != nil {
 			n.Tel = opts.NewTelemetry(id)
 			n.Tel.SetClock(c.Sim.Now)
 		}
-		if opts.WAL && opts.Setup != SetupUnreplicated {
-			n.storage = raft.NewBufferStorage()
-			n.storage.OnAppend = func(int) {
-				if n.fsyncDelay > 0 {
-					n.Host.App().Submit(n.fsyncDelay, nil)
-				}
-			}
-		}
-		c.buildEngine(n)
 		c.Nodes = append(c.Nodes, n)
 	}
 
-	// Multicast groups.
-	addrs := make([]simnet.Addr, 0, len(peers))
-	for _, id := range peers {
-		addrs = append(addrs, c.addrOf[id])
-	}
-	c.groupAll = c.Net.NewGroup(addrs...)
-	for _, id := range peers {
-		var rest []simnet.Addr
-		for _, other := range peers {
-			if other != id {
-				rest = append(rest, c.addrOf[other])
-			}
+	// Per-group multicast addresses and member replicas. Engines draw
+	// their randomness from the shared sim RNG in group-then-member
+	// order, so a fixed seed fixes every election timeout.
+	for g, members := range c.Placement.Members {
+		addrs := make([]simnet.Addr, len(members))
+		for i, id := range members {
+			addrs[i] = c.addrOf[id]
 		}
-		c.groupExcept[id] = c.Net.NewGroup(rest...)
+		c.Groups = append(c.Groups, &Group{
+			ID: shard.GroupID(g), Members: members, addr: c.Net.NewGroup(addrs...),
+		})
+		for _, id := range members {
+			n := c.Nodes[int(id)-1]
+			if opts.WAL && opts.Setup != SetupUnreplicated {
+				n.wals[g] = n.newWAL()
+			}
+			c.buildEngine(n, g)
+		}
+	}
+	for _, n := range c.Nodes {
+		n.buildDriver()
 	}
 
 	switch opts.Setup {
 	case SetupUnreplicated, SetupVanilla:
 		c.ServiceAddr = c.addrOf[1]
 	default:
-		// Flow-control middlebox in front of the multicast group. It is
-		// switch hardware: line-rate, negligible per-packet software cost.
-		mbCfg := opts.Host
-		mbCfg.LinkBps = 100_000_000_000
-		mbCfg.RxCost = 50 * time.Nanosecond
-		mbCfg.TxCost = 50 * time.Nanosecond
-		mbCfg.EgressQueue = 8192
-		mbCfg.IngressQueue = 8192
-		c.flowHost = c.Net.NewHost("flowctl", mbCfg)
-		c.Flow = core.NewFlowControl(opts.FlowLimit, 20*time.Millisecond)
+		// One flow-control middlebox fronts every group: it
+		// demultiplexes on the R2P2 group byte, charges the group's own
+		// window, and rewrites the destination to the group's multicast
+		// address.
+		c.flowHost = c.Net.NewHost("flowctl", switchHost(opts.Host))
+		for _, grp := range c.Groups {
+			grp.Flow = core.NewFlowControl(opts.FlowLimit, 20*time.Millisecond)
+			if opts.AdaptiveAdmission {
+				grp.Ctrl = newFlowController(opts.Admission, opts.FlowLimit,
+					admission.WorstOf(c.liveTels(grp.Members)))
+				grp.Flow.NackHint = grp.Ctrl.Hint()
+			}
+		}
 		c.flowHost.SetHandler(c.onFlowPacket)
 		c.ServiceAddr = c.flowHost.Addr()
-		if opts.AdaptiveAdmission {
-			c.Admission = newFlowController(opts.Admission, opts.FlowLimit,
-				admission.WorstOf(c.liveTels))
-			c.Flow.NackHint = c.Admission.Hint()
-		}
 	}
 
 	if opts.Setup == SetupHovercraftPP {
-		agCfg := opts.Host
-		agCfg.LinkBps = 100_000_000_000
-		agCfg.RxCost = 50 * time.Nanosecond
-		agCfg.TxCost = 50 * time.Nanosecond
-		agCfg.EgressQueue = 8192
-		agCfg.IngressQueue = 8192
-		c.aggHost = c.Net.NewHost("aggregator", agCfg)
-		c.Agg = core.NewAggregator(peers, &aggTransport{c: c})
+		// The in-network aggregator serves the single group: it fans
+		// out to every member but the leader.
+		members := c.Groups[0].Members
+		for _, id := range members {
+			var rest []simnet.Addr
+			for _, other := range members {
+				if other != id {
+					rest = append(rest, c.addrOf[other])
+				}
+			}
+			c.groupExcept[id] = c.Net.NewGroup(rest...)
+		}
+		c.aggHost = c.Net.NewHost("aggregator", switchHost(opts.Host))
+		c.Agg = core.NewAggregator(members, &aggTransport{c: c})
 		aggDrv := runtime.New(c.Agg, runtime.Options{
 			Now: c.Sim.Now, ReasmTimeout: 20 * time.Millisecond,
 		})
@@ -327,71 +394,94 @@ func New(opts Options) *Cluster {
 	return c
 }
 
+// switchHost is the host config of an in-network device (middlebox,
+// aggregator): switch hardware, line-rate, negligible per-packet
+// software cost.
+func switchHost(cfg simnet.HostConfig) simnet.HostConfig {
+	cfg.LinkBps = 100_000_000_000
+	cfg.RxCost = 50 * time.Nanosecond
+	cfg.TxCost = 50 * time.Nanosecond
+	cfg.EgressQueue = 8192
+	cfg.IngressQueue = 8192
+	return cfg
+}
+
+// newWAL builds one replica's in-memory WAL. Every append also stalls
+// the node's app thread for the injected fsync delay, if any.
+func (n *Node) newWAL() *raft.BufferStorage {
+	w := raft.NewBufferStorage()
+	w.OnAppend = func(int) {
+		if n.fsyncDelay > 0 {
+			n.Host.App().Submit(n.fsyncDelay, nil)
+		}
+	}
+	return w
+}
+
 // buildEngine constructs (or reconstructs, after a WAL restart) the
-// node's service and protocol engine, and installs the packet handler.
-func (c *Cluster) buildEngine(n *Node) {
+// node's service and protocol engine for group g.
+func (c *Cluster) buildEngine(n *Node, g int) {
 	opts := c.Opts
-	svc, cost := opts.NewService()
+	svc, cost := opts.NewService(g)
 	for _, payload := range opts.Preload {
 		svc.Execute(payload, false)
 	}
-	n.Service = svc
+	n.Services[g] = svc
 	runner := newSimRunner(n.Host, svc, cost, n.Tel)
+	tr := &nodeTransport{c: c, host: n.Host, group: uint8(g)}
 	if opts.Setup == SetupUnreplicated {
-		n.Unrep = core.NewUnreplicatedEngine(&nodeTransport{c: c, host: n.Host}, runner)
+		n.Unrep = core.NewUnreplicatedEngine(tr, runner)
 		n.Unrep.SetObs(opts.Obs)
-	} else {
-		mode := core.ModeVanilla
-		switch opts.Setup {
-		case SetupHovercraft:
-			mode = core.ModeHovercraft
-		case SetupHovercraftPP:
-			mode = core.ModeHovercraftPP
-		}
-		var snapshotter core.Snapshotter
-		if sn, ok := svc.(core.Snapshotter); ok && opts.CompactEvery > 0 {
-			snapshotter = sn
-		}
-		var storage raft.Storage
-		if n.storage != nil {
-			storage = n.storage
-		}
-		n.Engine = core.NewEngine(core.Config{
-			Mode: mode, ID: n.ID, Peers: n.peers,
-			TickInterval:   opts.TickInterval,
-			ElectionTicks:  opts.ElectionTicks,
-			HeartbeatTicks: opts.HeartbeatTicks,
-			Bound:          opts.Bound,
-			Policy:         opts.Policy,
-			DisableReplyLB: opts.DisableReplyLB,
-			Rand:           c.Sim.Rand(),
-			Snapshotter:    snapshotter,
-			CompactEvery:   opts.CompactEvery,
-			Storage:        storage,
-			Obs:            opts.Obs,
-			Tel:            n.Tel,
-
-			MaxInflightEntries: opts.MaxInflightEntries,
-			MaxBatchBytes:      opts.MaxBatchBytes,
-
-			ReadLease:           opts.ReadLease,
-			ReadStalenessBudget: opts.ReadStalenessBudget,
-			ReadNackAfter:       opts.ReadNackAfter,
-			DriftTicks:          opts.DriftTicks,
-		}, &nodeTransport{c: c, host: n.Host}, runner)
+		return
 	}
-	var handler runtime.Handler
-	var tick func()
-	if n.Unrep != nil {
-		handler = n.Unrep
-	} else {
-		handler = n.Engine
-		tick = n.Engine.Tick
+	mode := core.ModeVanilla
+	switch opts.Setup {
+	case SetupHovercraft:
+		mode = core.ModeHovercraft
+	case SetupHovercraftPP:
+		mode = core.ModeHovercraftPP
 	}
-	n.drv = runtime.New(handler, runtime.Options{
-		Now:          c.Sim.Now,
+	var snapshotter core.Snapshotter
+	if sn, ok := svc.(core.Snapshotter); ok && opts.CompactEvery > 0 {
+		snapshotter = sn
+	}
+	var storage raft.Storage
+	if w := n.wals[g]; w != nil {
+		storage = w
+	}
+	n.Engines[g] = core.NewEngine(core.Config{
+		Mode: mode, ID: n.ID, Peers: c.Groups[g].Members,
+		TickInterval:   opts.TickInterval,
+		ElectionTicks:  opts.ElectionTicks,
+		HeartbeatTicks: opts.HeartbeatTicks,
+		Bound:          opts.Bound,
+		Policy:         opts.Policy,
+		DisableReplyLB: opts.DisableReplyLB,
+		Rand:           c.Sim.Rand(),
+		Snapshotter:    snapshotter,
+		CompactEvery:   opts.CompactEvery,
+		Storage:        storage,
+		Obs:            opts.Obs,
+		Tel:            n.Tel,
+
+		MaxInflightEntries: opts.MaxInflightEntries,
+		MaxBatchBytes:      opts.MaxBatchBytes,
+
+		ReadLease:           opts.ReadLease,
+		ReadStalenessBudget: opts.ReadStalenessBudget,
+		ReadNackAfter:       opts.ReadNackAfter,
+		DriftTicks:          opts.DriftTicks,
+	}, tr, runner)
+}
+
+// buildDriver (re)builds the node's runtime driver — fresh reassembly
+// state and empty virtual-core mailboxes — and installs the packet
+// handler.
+func (n *Node) buildDriver() {
+	n.drv = runtime.New(runtime.HandlerFunc(n.dispatch), runtime.Options{
+		Now:          n.cluster.Sim.Now,
 		ReasmTimeout: 20 * time.Millisecond,
-		Tick:         tick,
+		Tick:         n.tickEngines,
 		GCEvery:      1024,
 		Telemetry:    n.Tel,
 	})
@@ -414,20 +504,23 @@ func (n *Node) resetCores() {
 	}
 }
 
-// Start launches tick loops and elects node 1 (deterministic bootstrap,
-// as in the paper's experiments where the leader is fixed).
+// Start launches tick loops and campaigns each group's placed leader
+// (deterministic bootstrap, as in the paper's experiments where the
+// leader is fixed).
 func (c *Cluster) Start() {
 	for _, n := range c.Nodes {
 		n.startTicking()
 	}
 	if c.Opts.Setup != SetupUnreplicated {
-		c.Nodes[0].Engine.Campaign()
+		for g, leader := range c.Placement.Leaders {
+			c.Nodes[int(leader)-1].Engines[g].Campaign()
+		}
 	}
-	if c.Flow != nil {
+	if c.flowHost != nil {
 		c.flowGC()
-	}
-	if c.Admission != nil {
-		c.admitTick()
+		if c.Opts.AdaptiveAdmission {
+			c.admitTick()
+		}
 	}
 }
 
@@ -458,79 +551,39 @@ func newFlowController(cfg admission.Config, flowLimit int, sig admission.Signal
 	return admission.New(cfg, sig)
 }
 
-// liveTels is the admission signal's view: telemetry of every node
+// liveTels is one group's admission signal: telemetry of its members
 // still running (a crashed node's stale window must not hold the
-// cluster's admit window down through a failover).
-func (c *Cluster) liveTels() []*obs.Telemetry {
-	tels := make([]*obs.Telemetry, 0, len(c.Nodes))
-	for _, n := range c.Nodes {
-		if !n.crashed {
-			tels = append(tels, n.Tel)
+// group's admit window down through a failover).
+func (c *Cluster) liveTels(members []raft.NodeID) func() []*obs.Telemetry {
+	return func() []*obs.Telemetry {
+		tels := make([]*obs.Telemetry, 0, len(members))
+		for _, id := range members {
+			if n := c.Nodes[int(id)-1]; !n.crashed {
+				tels = append(tels, n.Tel)
+			}
 		}
+		return tels
 	}
-	return tels
 }
 
-// admitTick is the control loop: read the signal, resize the window,
-// refresh the NACK retry-after hint.
+// admitTick is the control loop, one shared cadence for every group:
+// read each group's signal, resize its window, refresh its NACK
+// retry-after hint — a hot group's backpressure never throttles its
+// neighbors.
 func (c *Cluster) admitTick() {
-	c.Admission.Tick()
-	c.Flow.SetLimit(c.Admission.Window())
-	c.Flow.NackHint = c.Admission.Hint()
+	for _, grp := range c.Groups {
+		grp.Ctrl.Tick()
+		grp.Flow.SetLimit(grp.Ctrl.Window())
+		grp.Flow.NackHint = grp.Ctrl.Hint()
+	}
 	c.Sim.After(c.Opts.AdmitTick, c.admitTick)
 }
 
-// RegisterMetrics exposes the middlebox admission state on the
-// registry: flow window counters/occupancy plus, when the adaptive
-// controller runs, its window/hint/step state under "admission", and
-// every node's queue-delay telemetry under node<N>.qdelay.*.
-func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	if c.Flow != nil {
-		fv := reg.Sub("flow")
-		fv.Counter("admitted", func() uint64 { return c.Flow.Admitted })
-		fv.Counter("nacked", func() uint64 { return c.Flow.Nacked })
-		fv.Counter("leaked", func() uint64 { return c.Flow.Leaked })
-		fv.Gauge("inflight", func() float64 { return float64(c.Flow.InFlight()) })
-		fv.Gauge("limit", func() float64 { return float64(c.Flow.Limit) })
-	}
-	if c.Admission != nil {
-		c.Admission.Register(reg.Sub("admission"))
-	}
-	for _, n := range c.Nodes {
-		nv := reg.Sub(fmt.Sprintf("node%d", n.ID))
-		if n.Tel.Active() {
-			n.Tel.Register(nv)
-		}
-		// Virtual-core handoff health (Options.Cores > 1): pushes and
-		// drops per forwarding core, mirroring the transport's coreN
-		// counter families. The mailboxes are rebuilt on crash, so the
-		// closures re-read them at scrape time.
-		n := n
-		for ci := range n.inboxes {
-			ci := ci
-			cv := nv.Sub(fmt.Sprintf("core%d", ci+1))
-			cv.Counter("handoff_in", func() uint64 {
-				if ci < len(n.inboxes) {
-					return n.inboxes[ci].Pushed()
-				}
-				return 0
-			})
-			cv.Counter("handoff_drops", func() uint64 {
-				if ci < len(n.inboxes) {
-					return n.inboxes[ci].Dropped()
-				}
-				return 0
-			})
-		}
-	}
-}
-
 func (c *Cluster) flowGC() {
-	if n := c.Flow.GC(c.Sim.Now()); n > 0 && c.Opts.Obs.Active() {
-		c.Opts.Obs.Emitf("flow", "slot_reclaim", "reclaimed %d leaked in-flight slots", n)
+	for _, grp := range c.Groups {
+		if n := grp.Flow.GC(c.Sim.Now()); n > 0 && c.Opts.Obs.Active() {
+			c.Opts.Obs.Emitf("flow", "slot_reclaim", "reclaimed %d leaked in-flight slots", n)
+		}
 	}
 	c.Sim.After(5*time.Millisecond, c.flowGC)
 }
@@ -539,34 +592,21 @@ func (c *Cluster) flowGC() {
 // tests; nil outside HovercRaft++).
 func (c *Cluster) AggHost() *simnet.Host { return c.aggHost }
 
-// Leader returns the current leader node, or nil.
-func (c *Cluster) Leader() *Node {
-	for _, n := range c.Nodes {
-		if !n.crashed && n.Engine != nil && n.Engine.IsLeader() {
+// LeaderOf returns the node currently leading group g, or nil during an
+// election (and always under SetupUnreplicated).
+func (c *Cluster) LeaderOf(g int) *Node {
+	for _, id := range c.Groups[g].Members {
+		n := c.Nodes[int(id)-1]
+		if !n.crashed && n.Engines[g] != nil && n.Engines[g].IsLeader() {
 			return n
 		}
 	}
 	return nil
 }
-
-// Node returns the node with the given ID.
-func (c *Cluster) NodeByID(id raft.NodeID) *Node {
-	for _, n := range c.Nodes {
-		if n.ID == id {
-			return n
-		}
-	}
-	return nil
-}
-
-// NodeAddr returns the network address of one node — where lin-read
-// clients send point-to-point LIN_READ requests (reads bypass the
-// middlebox and its request multicast entirely).
-func (c *Cluster) NodeAddr(id raft.NodeID) simnet.Addr { return c.addrOf[id] }
 
 // NodeAddrs returns every node's address in ID order: the read-target
 // rotation set for loadgen clients spreading lin-reads across the
-// group.
+// pool.
 func (c *Cluster) NodeAddrs() []simnet.Addr {
 	addrs := make([]simnet.Addr, 0, len(c.Nodes))
 	for _, n := range c.Nodes {
@@ -594,8 +634,39 @@ func (n *Node) startTicking() {
 	n.cluster.Sim.After(n.cluster.Opts.TickInterval, loop)
 }
 
+// tickEngines is the node's protocol timer: every hosted group replica
+// ticks on the shared cadence, in group order.
+func (n *Node) tickEngines() {
+	for _, e := range n.Engines {
+		if e != nil {
+			e.Tick()
+		}
+	}
+}
+
+// dispatch routes a reassembled message to the engine of its group.
+func (n *Node) dispatch(m *r2p2.Msg) {
+	if n.Unrep != nil {
+		n.Unrep.HandleMessage(m)
+		return
+	}
+	if g := int(m.Group); g < len(n.Engines) && n.Engines[g] != nil {
+		n.Engines[g].HandleMessage(m)
+		return
+	}
+	// Not a member of this group under the current map. A client request
+	// landing here means the sender routed by a stale map: redirect it;
+	// anything else (stray consensus traffic during a reconfiguration)
+	// is dropped.
+	if m.Type == r2p2.TypeRequest {
+		nack := r2p2.MakeNack(m.ID)
+		r2p2.SetGroup(nack, r2p2.GroupInvalid)
+		n.Host.Send(&simnet.Packet{Dst: simnet.Addr(m.ID.SrcIP), Payload: nack})
+	}
+}
+
 // onPacket is the node's virtual NIC. Single-core (the default) feeds
-// the engine directly. With Options.Cores > 1 the packet first lands on
+// the driver directly. With Options.Cores > 1 the packet first lands on
 // the core its source hashes to — the simulated analogue of the
 // kernel's reuseport flow hash — and only core 0 (the engine owner)
 // ingests in place; the rest park the packet in their mailbox for the
@@ -624,7 +695,7 @@ func (n *Node) onPacket(pkt *simnet.Packet) {
 	}
 }
 
-// drainCores empties every virtual core's mailbox into the engine, in
+// drainCores empties every virtual core's mailbox into the driver, in
 // core order — the deterministic stand-in for the owner loop's
 // Advance. Copied packets follow the borrowed-buffer contract (their
 // slot is reused), owned ones may be retained by the engine.
@@ -643,7 +714,7 @@ func (n *Node) drainCores() {
 	}
 }
 
-// Crash fail-stops the node.
+// Crash fail-stops the node, taking down its replica of every group.
 func (n *Node) Crash() {
 	n.crashed = true
 	n.resetCores() // per-core NIC queues die with the machine
@@ -666,44 +737,69 @@ func (n *Node) Restart() {
 // Crashed reports the node's failure state.
 func (n *Node) Crashed() bool { return n.crashed }
 
-// Storage returns the node's in-memory WAL (nil unless Options.WAL).
-func (n *Node) Storage() *raft.BufferStorage { return n.storage }
+// durable reports whether the node keeps a WAL for any group.
+func (n *Node) durable() bool {
+	for _, w := range n.wals {
+		if w != nil {
+			return true
+		}
+	}
+	return false
+}
 
 // SetFsyncDelay injects a per-record persistence stall: every WAL append
-// additionally occupies the node's application thread for d (the
-// fsync-delay fault). Zero clears it. No-op without Options.WAL.
+// of any hosted group additionally occupies the node's application
+// thread for d (the fsync-delay fault). Zero clears it. No-op without
+// Options.WAL.
 func (n *Node) SetFsyncDelay(d time.Duration) { n.fsyncDelay = d }
 
 // RestartFromWAL revives a crashed node the way a real machine comes
-// back: all volatile state is discarded, a fresh engine and service are
-// built, and the durable state is recovered from the node's WAL.
-// tornBytes > 0 first shears that many bytes off the WAL tail,
+// back: all volatile state is discarded, fresh engines and services are
+// built, and each hosted group's durable state is recovered from its
+// WAL. tornBytes > 0 first shears that many bytes off every WAL's tail,
 // simulating a crash mid-write; recovery must then discard the torn
-// record. The service state is rebuilt by Raft re-applying the log once
-// the node rejoins (replayed replies are suppressed client-side by
-// request-ID dedup). Returns raft.ErrCorrupt if the WAL is damaged
-// beyond the torn-tail contract.
+// records. The service state is rebuilt by Raft re-applying the log
+// once the node rejoins (replayed replies are suppressed client-side by
+// request-ID dedup). Returns raft.ErrCorrupt if a WAL is damaged beyond
+// the torn-tail contract.
 func (n *Node) RestartFromWAL(tornBytes int) error {
-	if n.storage == nil {
+	if !n.durable() {
 		return fmt.Errorf("simcluster: node %d has no WAL (Options.WAL not set)", n.ID)
 	}
-	if tornBytes > 0 {
-		n.storage.TruncateTail(tornBytes)
+	states := make([]*raft.RecoveredState, len(n.wals))
+	for g, w := range n.wals {
+		if w == nil {
+			continue
+		}
+		if tornBytes > 0 {
+			w.TruncateTail(tornBytes)
+		}
+		rs, err := w.Recover()
+		if err != nil {
+			return err
+		}
+		states[g] = rs
 	}
-	rs, err := n.storage.Recover()
-	if err != nil {
-		return err
+	for g, rs := range states {
+		if rs != nil {
+			n.cluster.buildEngine(n, g)
+		}
 	}
-	n.cluster.buildEngine(n) // rebuilds the runtime driver (fresh reassembly state)
-	if err := n.Engine.Bootstrap(rs); err != nil {
-		return err
+	n.buildDriver()
+	for g, rs := range states {
+		if rs == nil {
+			continue
+		}
+		if err := n.Engines[g].Bootstrap(rs); err != nil {
+			return err
+		}
+		if n.cluster.Opts.Obs.Active() {
+			n.cluster.Opts.Obs.Emitf("node", "restart", "node %d recovered group %d from WAL (torn=%dB, term=%d, %d entries)",
+				n.ID, g, tornBytes, rs.Term, len(rs.Entries))
+		}
 	}
 	n.Host.Restart()
 	n.startTicking()
-	if n.cluster.Opts.Obs.Active() {
-		n.cluster.Opts.Obs.Emitf("node", "restart", "node %d recovered from WAL (torn=%dB, term=%d, %d entries)",
-			n.ID, tornBytes, rs.Term, len(rs.Entries))
-	}
 	return nil
 }
 
@@ -717,9 +813,22 @@ func sendBufs(host *simnet.Host, dst simnet.Addr, dgs []*wire.Buf) {
 	}
 }
 
+// nodeTransport is the per-(node, group) engine transport. Every
+// fragment carries the full R2P2 header, so stamping the group byte on
+// each egress datagram tags whole messages and the engine itself stays
+// group-unaware. Responses keep the stamp too, so shard-aware clients
+// can attribute completions to groups without re-hashing the key.
 type nodeTransport struct {
-	c    *Cluster
-	host *simnet.Host
+	c     *Cluster
+	host  *simnet.Host
+	group uint8
+}
+
+func (t *nodeTransport) send(dst simnet.Addr, dgs []*wire.Buf) {
+	for _, b := range dgs {
+		r2p2.SetGroup(b.B, t.group)
+	}
+	sendBufs(t.host, dst, dgs)
 }
 
 func (t *nodeTransport) SendToNode(id raft.NodeID, dgs []*wire.Buf) {
@@ -728,7 +837,7 @@ func (t *nodeTransport) SendToNode(id raft.NodeID, dgs []*wire.Buf) {
 		wire.ReleaseAll(dgs)
 		return
 	}
-	sendBufs(t.host, dst, dgs)
+	t.send(dst, dgs)
 }
 
 func (t *nodeTransport) SendToAggregator(dgs []*wire.Buf) {
@@ -736,11 +845,11 @@ func (t *nodeTransport) SendToAggregator(dgs []*wire.Buf) {
 		wire.ReleaseAll(dgs)
 		return
 	}
-	sendBufs(t.host, t.c.aggHost.Addr(), dgs)
+	t.send(t.c.aggHost.Addr(), dgs)
 }
 
 func (t *nodeTransport) SendToClient(id r2p2.RequestID, dgs []*wire.Buf) {
-	sendBufs(t.host, simnet.Addr(id.SrcIP), dgs)
+	t.send(simnet.Addr(id.SrcIP), dgs)
 }
 
 func (t *nodeTransport) SendFeedback(dgs []*wire.Buf) {
@@ -748,21 +857,23 @@ func (t *nodeTransport) SendFeedback(dgs []*wire.Buf) {
 		wire.ReleaseAll(dgs)
 		return
 	}
-	sendBufs(t.host, t.c.flowHost.Addr(), dgs)
+	t.send(t.c.flowHost.Addr(), dgs)
 }
 
+// aggTransport is the aggregator's transport; it serves group 0, the
+// only group in HovercRaft++ deployments.
 type aggTransport struct{ c *Cluster }
 
 func (t *aggTransport) ForwardToFollowers(leader raft.NodeID, dgs []*wire.Buf) {
 	dst, ok := t.c.groupExcept[leader]
 	if !ok {
-		dst = t.c.groupAll
+		dst = t.c.Groups[0].addr
 	}
 	sendBufs(t.c.aggHost, dst, dgs)
 }
 
 func (t *aggTransport) Broadcast(dgs []*wire.Buf) {
-	sendBufs(t.c.aggHost, t.c.groupAll, dgs)
+	sendBufs(t.c.aggHost, t.c.Groups[0].addr, dgs)
 }
 
 func (t *aggTransport) SendToNode(id raft.NodeID, dgs []*wire.Buf) {
@@ -776,16 +887,40 @@ func (t *aggTransport) SendToNode(id raft.NodeID, dgs []*wire.Buf) {
 
 // onFlowPacket is the middlebox datapath.
 func (c *Cluster) onFlowPacket(pkt *simnet.Packet) {
-	verdict, nack := c.Flow.HandleDatagram(pkt.Payload, uint32(pkt.Src), c.Sim.Now())
+	g := r2p2.GroupOf(pkt.Payload)
+	if int(g) >= len(c.Groups) {
+		// Group this deployment does not serve (stale or corrupt client
+		// map, or an unparseable frame): NACK first fragments of requests
+		// with the redirect sentinel so shard-aware clients refresh their
+		// map, drop the rest.
+		var h r2p2.Header
+		if err := h.Unmarshal(pkt.Payload); err == nil &&
+			h.Type == r2p2.TypeRequest && h.Flags&r2p2.FlagFirst != 0 {
+			c.StaleNacks++
+			nack := r2p2.MakeNack(r2p2.IDOf(&h, uint32(pkt.Src)))
+			r2p2.SetGroup(nack, r2p2.GroupInvalid)
+			c.flowHost.Send(&simnet.Packet{Dst: pkt.Src, Payload: nack})
+			if c.Opts.Obs.Active() {
+				c.Opts.Obs.Emitf("flow", "stale_map", "redirected request for unknown group %d from %v", g, pkt.Src)
+			}
+		}
+		return
+	}
+	grp := c.Groups[g]
+	verdict, nack := grp.Flow.HandleDatagram(pkt.Payload, uint32(pkt.Src), c.Sim.Now())
 	switch verdict {
 	case core.VerdictForward:
-		// Rewrite destination to the cluster multicast group, keeping
+		// Rewrite destination to the group's multicast address, keeping
 		// the client's source address.
-		c.flowHost.SendFrom(&simnet.Packet{Src: pkt.Src, Dst: c.groupAll, Payload: pkt.Payload})
+		c.flowHost.SendFrom(&simnet.Packet{Src: pkt.Src, Dst: grp.addr, Payload: pkt.Payload})
 	case core.VerdictNack:
 		if c.Opts.Obs.Active() {
 			c.Opts.Obs.Emitf("flow", "nack", "middlebox nacked request from %v (window full)", pkt.Src)
 		}
+		// Flow-control NACK: echo the request's own group so clients can
+		// tell back-pressure (retry later, same route) from staleness
+		// (refresh the map).
+		r2p2.SetGroup(nack, g)
 		c.flowHost.Send(&simnet.Packet{Dst: pkt.Src, Payload: nack})
 	}
 }

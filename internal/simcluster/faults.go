@@ -7,7 +7,9 @@ import (
 	"hovercraft/internal/simnet"
 )
 
-// clusterTarget adapts a single-group Cluster to fault.Target.
+// clusterTarget adapts a Cluster to fault.Target. Node indexes are pool
+// positions; PickLeader resolves group 0's leader, and schedules aimed
+// at another group's leader can name concrete nodes via the placement.
 type clusterTarget struct{ c *Cluster }
 
 // FaultTarget exposes the cluster to the fault injector:
@@ -18,7 +20,7 @@ func (c *Cluster) FaultTarget() fault.Target { return clusterTarget{c} }
 func (t clusterTarget) NumNodes() int { return len(t.c.Nodes) }
 
 func (t clusterTarget) LeaderIndex() int {
-	lead := t.c.Leader()
+	lead := t.c.LeaderOf(0)
 	for i, n := range t.c.Nodes {
 		if n == lead {
 			return i
@@ -30,12 +32,12 @@ func (t clusterTarget) LeaderIndex() int {
 func (t clusterTarget) Crashed(i int) bool { return t.c.Nodes[i].Crashed() }
 func (t clusterTarget) Crash(i int)        { t.c.Nodes[i].Crash() }
 
-// Restart recovers through the WAL when the cluster persists one (the
+// Restart recovers through the WALs when the node persists them (the
 // realistic volatile-state-lost path, honoring torn), else resumes the
-// in-memory engine.
+// in-memory engines.
 func (t clusterTarget) Restart(i int, torn int) error {
 	n := t.c.Nodes[i]
-	if n.storage != nil {
+	if n.durable() {
 		return n.RestartFromWAL(torn)
 	}
 	n.Restart()
@@ -51,45 +53,4 @@ func (t clusterTarget) SetCPUSlowdown(i int, factor float64) {
 
 func (t clusterTarget) SetFsyncDelay(i int, d time.Duration) {
 	t.c.Nodes[i].SetFsyncDelay(d)
-}
-
-// multiTarget adapts a sharded MultiCluster to fault.Target.
-type multiTarget struct{ c *MultiCluster }
-
-// FaultTarget exposes the sharded cluster to the fault injector.
-// LeaderIndex resolves group 0's leader; schedules wanting a specific
-// group's leader can target concrete node indexes via the placement.
-func (c *MultiCluster) FaultTarget() fault.Target { return multiTarget{c} }
-
-func (t multiTarget) NumNodes() int { return len(t.c.Nodes) }
-
-func (t multiTarget) LeaderIndex() int {
-	lead := t.c.LeaderOf(0)
-	for i, n := range t.c.Nodes {
-		if n == lead {
-			return i
-		}
-	}
-	return -1
-}
-
-func (t multiTarget) Crashed(i int) bool { return t.c.Nodes[i].Crashed() }
-func (t multiTarget) Crash(i int)        { t.c.Nodes[i].Crash() }
-
-// Restart resumes the in-memory engines (the multi-cluster pool does not
-// persist WALs; torn is ignored).
-func (t multiTarget) Restart(i int, _ int) error {
-	t.c.Nodes[i].Restart()
-	return nil
-}
-
-func (t multiTarget) Addr(i int) simnet.Addr   { return t.c.Nodes[i].Host.Addr() }
-func (t multiTarget) Network() *simnet.Network { return t.c.Net }
-
-func (t multiTarget) SetCPUSlowdown(i int, factor float64) {
-	t.c.Nodes[i].Host.SetCPUSlowdown(factor)
-}
-
-func (t multiTarget) SetFsyncDelay(i int, _ time.Duration) {
-	// No WAL in the sharded pool; fsync stalls degrade to a no-op.
 }

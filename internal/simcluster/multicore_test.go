@@ -24,7 +24,7 @@ func multicoreRun(t *testing.T, seed int64) (string, uint64, uint64) {
 		res.Achieved, res.Offered, res.Latency.P50, res.Latency.P99, res.LossRate)
 	var pushed, dropped uint64
 	for _, n := range c.Nodes {
-		fp += fmt.Sprintf(" | node%d %v", n.ID, n.Engine.Node().Status())
+		fp += fmt.Sprintf(" | node%d %v", n.ID, n.Engines[0].Node().Status())
 		for ci, mb := range n.inboxes {
 			fp += fmt.Sprintf(" core%d=%d/%d", ci+1, mb.Pushed(), mb.Dropped())
 			pushed += mb.Pushed()

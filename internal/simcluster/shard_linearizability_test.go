@@ -43,25 +43,34 @@ func kregPayload(write bool, key string, value []byte) []byte {
 
 // shardLoopClient is a closed-loop client over a sharded cluster: each op
 // addresses one key, routes to the owning group, and is recorded under
-// that key. Timed-out ops stay pending.
+// that key. Timed-out ops stay pending. With leaseReads, reads go out as
+// LIN_READ point-to-point to a member of the key's group picked by
+// Router.ReadReplica; a NACK retries the next member at once.
 type shardLoopClient struct {
-	id      int
-	c       *MultiCluster
-	router  *shard.Router
-	host    *simnet.Host
-	r2      *r2p2.Client
-	reasm   *r2p2.Reassembler
-	history []linearize.Op
-	keys    []string // keys[i] is the key history[i] addressed
+	id         int
+	c          *Cluster
+	router     *shard.Router
+	host       *simnet.Host
+	r2         *r2p2.Client
+	reasm      *r2p2.Reassembler
+	history    []linearize.Op
+	keys       []string // keys[i] is the key history[i] addressed
+	leaseReads bool
 
 	opTimeout time.Duration
 	stopAt    time.Duration
 	seq       int
 	curIdx    int
 	curReq    uint32
+	curGroup  shard.GroupID
+	curRead   bool // current op is a lease read
+	curRaw    []byte
+	curPort   uint16
+	attempts  int
+	readTgt   int
 }
 
-func newShardLoopClient(c *MultiCluster, router *shard.Router, id int, stopAt time.Duration) *shardLoopClient {
+func newShardLoopClient(c *Cluster, router *shard.Router, id int, stopAt time.Duration) *shardLoopClient {
 	cl := &shardLoopClient{
 		id: id, c: c, router: router,
 		host:      c.Net.NewHost(fmt.Sprintf("lclient%d", id), simnet.DefaultHostConfig()),
@@ -96,17 +105,23 @@ func (cl *shardLoopClient) next() {
 		input = append([]byte("w"), val...)
 		payload = kregPayload(true, key, val)
 	}
-	id, dgs := cl.r2.NewRequest(policyFor(readOnly), payload)
-	r2p2.StampGroup(dgs, uint8(cl.router.Route([]byte(key))))
-	cl.curReq = id.ReqID
+	policy := policyFor(readOnly)
+	cl.curRead = readOnly && cl.leaseReads
+	if cl.curRead {
+		policy = r2p2.PolicyLinRead
+	}
+	id, dgs := cl.r2.NewRequest(policy, payload)
+	cl.curGroup = cl.router.Route([]byte(key))
+	cl.curReq, cl.curPort, cl.curRaw, cl.attempts = id.ReqID, id.SrcPort, payload, 1
+	if cl.curRead {
+		cl.readTgt = cl.router.ReadReplica(len(cl.c.Groups[cl.curGroup].Members))
+	}
 	cl.history = append(cl.history, linearize.Op{
 		ClientID: cl.id, Input: input, Call: now, Pending: true,
 	})
 	cl.keys = append(cl.keys, key)
 	cl.curIdx = len(cl.history) - 1
-	for _, dg := range dgs {
-		cl.host.Send(&simnet.Packet{Dst: cl.c.ServiceAddr, Payload: dg})
-	}
+	cl.transmit(dgs)
 	idx := cl.curIdx
 	cl.c.Sim.After(cl.opTimeout, func() {
 		if cl.curIdx == idx && cl.history[idx].Pending {
@@ -116,13 +131,37 @@ func (cl *shardLoopClient) next() {
 	})
 }
 
+// transmit stamps the op's group and sends it: writes and log-ordered
+// reads to the middlebox, lease reads to the chosen group member.
+func (cl *shardLoopClient) transmit(dgs [][]byte) {
+	r2p2.StampGroup(dgs, uint8(cl.curGroup))
+	dst := cl.c.ServiceAddr
+	if cl.curRead {
+		members := cl.c.Groups[cl.curGroup].Members
+		dst = cl.c.Nodes[members[cl.readTgt%len(members)]-1].Host.Addr()
+	}
+	for _, dg := range dgs {
+		cl.host.Send(&simnet.Packet{Dst: dst, Payload: dg})
+	}
+}
+
 func (cl *shardLoopClient) onPacket(pkt *simnet.Packet) {
 	m, err := cl.reasm.Ingest(pkt.Payload, uint32(pkt.Src), cl.c.Sim.Now())
 	if err != nil || m == nil {
 		return
 	}
-	if m.Type != r2p2.TypeResponse || cl.curIdx < 0 || m.ID.ReqID != cl.curReq {
-		return // NACK or stale duplicate
+	if cl.curIdx < 0 || m.ID.ReqID != cl.curReq {
+		return // stale duplicate
+	}
+	if m.Type == r2p2.TypeNack && cl.curRead && cl.attempts <= readRetryBudget {
+		// Lease-read redirect: same request ID, next member.
+		cl.attempts++
+		cl.readTgt++
+		cl.transmit(r2p2.MakeMsg(r2p2.TypeRequest, r2p2.PolicyLinRead, cl.curPort, cl.curReq, cl.curRaw, cl.r2.MaxPayload))
+		return
+	}
+	if m.Type != r2p2.TypeResponse {
+		return // flow-control NACK: the timeout moves the loop on
 	}
 	op := &cl.history[cl.curIdx]
 	op.Pending = false
@@ -132,10 +171,11 @@ func (cl *shardLoopClient) onPacket(pkt *simnet.Packet) {
 	cl.next()
 }
 
-func runShardLinearizabilityScenario(t *testing.T, seed int64, failover bool) {
+func runShardLinearizabilityScenario(t *testing.T, seed int64, failover, leaseReads bool) {
 	t.Helper()
-	c := NewMulti(MultiOptions{
-		Groups: 4, Nodes: 6, Replication: 3, Seed: seed,
+	c := New(Options{
+		Setup: SetupHovercraft, Groups: 4, Nodes: 6, Replication: 3, Seed: seed,
+		ReadLease: leaseReads,
 		NewService: func(int) (app.Service, app.CostModel) {
 			s := &kregService{m: make(map[string][]byte)}
 			return s, app.FixedCost{Service: s, PerOp: 2 * time.Microsecond}
@@ -145,7 +185,9 @@ func runShardLinearizabilityScenario(t *testing.T, seed int64, failover bool) {
 	const horizon = 150 * time.Millisecond
 	var clients []*shardLoopClient
 	for i := 0; i < 4; i++ {
-		clients = append(clients, newShardLoopClient(c, router, i, horizon))
+		cl := newShardLoopClient(c, router, i, horizon)
+		cl.leaseReads = leaseReads
+		clients = append(clients, cl)
 	}
 	c.Start()
 	for _, cl := range clients {
@@ -189,16 +231,52 @@ func runShardLinearizabilityScenario(t *testing.T, seed int64, failover bool) {
 	if len(groupsHit) < 2 {
 		t.Fatalf("keyspace exercised only %d groups — not a sharding test", len(groupsHit))
 	}
+	if !leaseReads {
+		return
+	}
+	var stale, leader, follower uint64
+	for _, n := range c.Nodes {
+		for _, e := range n.Engines {
+			if e != nil {
+				stale += e.Counters().Value("read_stale_served")
+				leader += e.Counters().Value("read_leader_served")
+				follower += e.Counters().Value("read_follower_served")
+			}
+		}
+	}
+	if stale != 0 {
+		t.Fatalf("seed %d: read_stale_served=%d, want 0", seed, stale)
+	}
+	if follower == 0 || leader == 0 {
+		t.Fatalf("seed %d: lease reads not spread over the groups' members (leader %d, follower %d)",
+			seed, leader, follower)
+	}
 }
 
 func TestShardedClusterHistoryIsLinearizable(t *testing.T) {
 	for seed := int64(21); seed <= 22; seed++ {
-		runShardLinearizabilityScenario(t, seed, false)
+		runShardLinearizabilityScenario(t, seed, false, false)
 	}
 }
 
 func TestShardedClusterHistoryIsLinearizableAcrossGroupFailover(t *testing.T) {
 	for seed := int64(23); seed <= 24; seed++ {
-		runShardLinearizabilityScenario(t, seed, true)
+		runShardLinearizabilityScenario(t, seed, true, false)
+	}
+}
+
+// TestShardedLeasedReadsAreLinearizable runs the sharded history check
+// with the read lease on: a third of the ops are LIN_READs served
+// point-to-point by members of the key's group (nodes that host two
+// groups in this placement), across a group-0 leader crash. The per-key
+// histories must linearize and no replica may serve a stale read.
+// -short runs the first seed only.
+func TestShardedLeasedReadsAreLinearizable(t *testing.T) {
+	seeds := []int64{25, 26}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		runShardLinearizabilityScenario(t, seed, true, true)
 	}
 }

@@ -18,7 +18,7 @@ func multiSynth(keys int) *loadgen.Synthetic {
 }
 
 func TestMultiClusterServing(t *testing.T) {
-	c := NewMulti(MultiOptions{Groups: 4, Nodes: 12, Replication: 3, Seed: 11})
+	c := New(Options{Setup: SetupHovercraft, Groups: 4, Nodes: 12, Replication: 3, Seed: 11})
 	router := shard.NewRouter(c.Map, nil)
 
 	warm, dur := 10*time.Millisecond, 60*time.Millisecond
@@ -90,7 +90,7 @@ func TestMultiClusterStaleMapRedirect(t *testing.T) {
 	// The client boots with a map for 4 groups; the deployment serves 2.
 	// Requests hashed to groups 2..3 must come back as GroupInvalid NACKs,
 	// the router must refresh, and the retried ops must complete.
-	c := NewMulti(MultiOptions{Groups: 2, Nodes: 6, Replication: 3, Seed: 12})
+	c := New(Options{Setup: SetupHovercraft, Groups: 2, Nodes: 6, Replication: 3, Seed: 12})
 	stale := shard.NewMapVersion(4, 1)
 	fresh := shard.NewMapVersion(2, 2)
 	router := shard.NewRouter(stale, func(uint64) *shard.Map { return fresh })
@@ -122,5 +122,26 @@ func TestMultiClusterStaleMapRedirect(t *testing.T) {
 	}
 	if cl.Redirected == 0 {
 		t.Fatal("no redirected ops recorded")
+	}
+}
+
+// TestNewRejectsShardingOutsideHovercraft: only plain HovercRaft runs
+// several groups (no setup has a multi-group aggregator, and UnRep and
+// Vanilla have no middlebox to demultiplex groups), so New refuses the
+// other combinations instead of building a half-sharded cluster.
+func TestNewRejectsShardingOutsideHovercraft(t *testing.T) {
+	for _, setup := range []Setup{SetupUnreplicated, SetupVanilla, SetupHovercraftPP} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v with 2 groups: New did not panic", setup)
+				}
+			}()
+			New(Options{Setup: setup, Groups: 2, Nodes: 6, Replication: 3})
+		}()
+	}
+	c := New(Options{Setup: SetupHovercraft, Groups: 2, Nodes: 6, Replication: 3})
+	if len(c.Groups) != 2 {
+		t.Fatalf("HovercRaft with 2 groups built %d groups", len(c.Groups))
 	}
 }

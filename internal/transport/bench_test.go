@@ -214,7 +214,6 @@ func benchLoopCores(b *testing.B, cores, perCore int) float64 {
 		sinks[i] = sink
 		drv := runtime.New(sink, runtime.Options{Now: func() time.Duration { return 0 }})
 		owners[i] = runtime.NewLoop(runtime.LoopOptions{
-			Core: i,
 			Deliver: func(dg []byte, src uint32, port uint16, owned bool) {
 				if owned {
 					drv.Ingest(dg, src)
@@ -231,7 +230,6 @@ func benchLoopCores(b *testing.B, cores, perCore int) float64 {
 	if cores > 1 {
 		for i := 0; i < cores; i++ {
 			fwds[i] = runtime.NewLoop(runtime.LoopOptions{
-				Core:       i,
 				Owner:      owners[(i+1)%cores],
 				MailboxCap: perCore/handoffEvery + 64,
 			})

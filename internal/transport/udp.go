@@ -418,7 +418,6 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 	s.loops = make([]*runtime.Loop, cores)
 	now := func() time.Duration { return time.Since(s.start) }
 	s.owner = runtime.NewLoop(runtime.LoopOptions{
-		Core:      aff,
 		Deliver:   s.deliver,
 		Tick:      s.ownerTick,
 		TickEvery: cfg.TickInterval,
@@ -434,7 +433,6 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 			continue
 		}
 		s.loops[i] = runtime.NewLoop(runtime.LoopOptions{
-			Core:       i,
 			Owner:      s.owner,
 			MailboxCap: cfg.HandoffDepth,
 			Now:        now,
